@@ -163,7 +163,13 @@ func TestSLADowngradeRecordsMisses(t *testing.T) {
 	if err := c.PartitionReplicas(0, [][]int{{1, 2}, {0}}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	// Keep writing and reading until a miss is recorded and the tracker
+	// prices replica 0 beyond the bound: how many rounds that takes is
+	// the scheduler's business, the deadline only bounds a real failure.
+	var m client.SLAMetrics
+	var c0 sla.Condition
+	deadline := time.Now().Add(2 * time.Second)
+	for (m.Misses < 1 || c0.Staleness <= 30*time.Millisecond) && time.Now().Before(deadline) {
 		if _, err := s.Call(ctx, "cnt", "inc", 1); err != nil {
 			t.Fatal(err)
 		}
@@ -171,17 +177,15 @@ func TestSLADowngradeRecordsMisses(t *testing.T) {
 		if _, err := s.Call(ctx, "cnt", "get"); err != nil {
 			t.Fatal(err)
 		}
+		m = cli.Metrics().SLA
+		for _, cd := range m.Conditions {
+			if cd.Replica == 0 {
+				c0 = cd
+			}
+		}
 	}
-	m := cli.Metrics().SLA
 	if m.Misses < 1 {
 		t.Errorf("no downgrade verdicts recorded under partition: %+v", m)
-	}
-	// The tracker now prices replica 0 beyond the bound.
-	var c0 sla.Condition
-	for _, cd := range m.Conditions {
-		if cd.Replica == 0 {
-			c0 = cd
-		}
 	}
 	if !c0.StalenessKnown || c0.Staleness <= 30*time.Millisecond {
 		t.Errorf("partitioned replica staleness = %+v, want > 30ms", c0)

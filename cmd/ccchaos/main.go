@@ -18,7 +18,7 @@
 //
 //	ccchaos -criterion CC -replication antientropy -shards 2 -replicas 3 \
 //	        [-schedule "300ms partition 0 1,2; 900ms heal; ..."] \
-//	        [-schedule-file chaos.sched] [-storm] [-batch] \
+//	        [-schedule-file chaos.sched] [-storm] [-batch] [-window-ops 24] \
 //	        [-bench-out BENCH_runtime.json -label "..."] [-require-verdicts]
 //
 // The built-in schedule runs two partition/heal rounds and two
@@ -234,7 +234,7 @@ func main() {
 	noHeal := flag.Bool("no-selfheal", false, "disable client retry/failover/breaker (op errors under faults become tolerated)")
 	batch := flag.Bool("batch", false, "drive ops through the client-side batcher")
 	requireVerdicts := flag.Bool("require-verdicts", false, "exit non-zero unless the monitor produced verdicts")
-	monWindow := flag.Int("monitor-window", 16, "operations per sampled monitor window")
+	monWindow := flag.Int("window-ops", 16, "operations per sampled monitor window")
 	benchOut := flag.String("bench-out", "", "append a labelled result entry to this JSON file")
 	label := flag.String("label", "", "label for the bench entry")
 	flag.Parse()

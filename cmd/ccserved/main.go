@@ -53,7 +53,6 @@ func main() {
 	batchWait := flag.Duration("batch-wait", 200*time.Microsecond, "max time an update waits for its batch")
 	monSample := flag.Int("monitor-sample", 4, "monitor samples 1 in N objects (0 disables the monitor)")
 	monWindow := flag.Int("window-ops", cluster.DefaultWindowOps, "operations per sampled monitor window")
-	flag.IntVar(monWindow, "monitor-window", cluster.DefaultWindowOps, "alias of -window-ops (kept for older harnesses)")
 	monTimeout := flag.Duration("monitor-timeout", 2*time.Second, "wall-clock bound per online check")
 	monBudget := flag.Int("monitor-budget", 0, "search-node bound per online check (0 = checker default)")
 	monNoPrune := flag.Bool("monitor-noprune", false, "run the monitor's exact checkers without DPOR-style pruning")

@@ -60,7 +60,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("CCv arbitrates the concurrent inserts by a shared total order")
-	fmt.Println("(Lamport timestamps), so both replicas settle on one document.")
+	fmt.Println("(causal-stamp timestamps), so both replicas settle on one document.")
 	fmt.Println("CC only promises each user a view consistent with causality —")
 	fmt.Println("the documents may interleave the edits differently forever.")
 }

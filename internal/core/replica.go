@@ -1,9 +1,17 @@
 // Package core is the paper's primary contribution made runnable: a
 // wait-free replicated-object runtime for arbitrary abstract data
 // types, parameterized by consistency criterion. Every replica holds a
-// full copy of the object; operations complete without waiting for any
+// full copy of each object; operations complete without waiting for any
 // other process (Sec. 6.1), queries read local state, updates are
 // disseminated by broadcast and applied on delivery.
+//
+// There is ONE implementation of that construction, Station
+// (station.go): many named objects over one broadcast layer, with
+// update batching, serving cc/cluster. Replica (this file) is its
+// traced one-object view for the paper-level experiments — an
+// unbatched Station hosting a single object plus a trace.Recorder — so
+// every Prop. 6 / Prop. 7 whole-history test, the simulator and the
+// examples exercise the code that serves requests.
 //
 // The criterion is selected by the delivery discipline and the state
 // representation:
@@ -14,13 +22,16 @@
 //     construction stays causally consistent for every ADT).
 //   - PC  — FIFO broadcast, apply on delivery (pipelined consistency;
 //     the PRAM construction).
-//   - EC  — unordered reliable broadcast; updates carry Lamport
-//     timestamps and are folded in timestamp order, so replicas
+//   - EC  — unordered reliable broadcast; updates carry origin-assigned
+//     Lamport timestamps and are folded in timestamp order, so replicas
 //     converge but causality may be violated (eventual consistency
 //     without the causal guarantees).
-//   - CCv — causal broadcast plus Lamport timestamps, updates folded
-//     in timestamp order (generalizes Fig. 5; the shared total order
-//     is the timestamp order, which extends the causal order).
+//   - CCv — causal broadcast, updates folded in a shared total order
+//     that extends the causal order (generalizes Fig. 5). Where Fig. 5
+//     reads a Lamport clock, the total order here is the causal
+//     layer's own vector stamp — its coordinate sum, origin as
+//     tie-breaker — assigned atomically with the causal ordering
+//     decision (see station.go).
 //
 // SC (sequential consistency) is deliberately not in this list: it
 // cannot be wait-free (Sec. 1); see SCReplica.
@@ -29,13 +40,10 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
-	"github.com/paper-repro/ccbm/internal/broadcast"
 	"github.com/paper-repro/ccbm/internal/net"
 	"github.com/paper-repro/ccbm/internal/spec"
 	"github.com/paper-repro/ccbm/internal/trace"
-	"github.com/paper-repro/ccbm/internal/vclock"
 )
 
 // Mode selects the consistency criterion a replica implements.
@@ -83,83 +91,45 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("core: unknown mode %q (want CC, PC, EC or CCv)", s)
 }
 
-// updMsg is the broadcast payload: one update operation.
-type updMsg struct {
-	In spec.Input
-	TS vclock.Timestamp // EC/CCv modes only
-}
+// replicaObject is the fixed name of the one object a Replica hosts on
+// its Station.
+const replicaObject = "o"
 
-// Replica is one process's copy of a shared object. All methods are
-// safe for concurrent use; Invoke never blocks on communication
-// (wait-freedom), so its latency is independent of network delays and
-// of other processes' failures.
+// Replica is one process's copy of a single shared object: a Station
+// hosting exactly one object, plus the trace recorder that turns its
+// invocations into a history for the checkers. The fold itself — all
+// four mode disciplines — lives in Station; Replica adds only the
+// paper-level shape (one object, one sequential process, a recorded
+// history). Invoke never blocks on communication (wait-freedom), so its
+// latency is independent of network delays and of other processes'
+// failures.
 type Replica struct {
-	mu      sync.Mutex
-	ownCond *sync.Cond
-	id      int
-	t       spec.ADT
-	mode    Mode
-	bc      broadcast.Broadcaster
-	rec     *trace.Recorder
-	stats   Stats
-
-	// Apply-on-delivery modes (CC, PC).
-	state spec.State
-
-	// Timestamp-ordered modes (EC, CCv): Lamport clock plus the shared
-	// timestamp-ordered log with its replay cache (tsLog); its base is
-	// the fold of the compacted stable prefix, see CompactLog.
-	clock vclock.Lamport
-	tl    *tsLog[vclock.Timestamp]
-	// lastVT[q] is the largest Lamport time seen from origin q, used
-	// to determine which log prefix is stable.
-	lastVT []int
-
-	// Output of this replica's own update deliveries, in order
-	// (local delivery is synchronous inside Broadcast).
-	ownOuts []spec.Output
-}
-
-// Stats counts a replica's activity.
-type Stats struct {
-	Invocations int64
-	Updates     int64
-	Queries     int64
-	Applied     int64 // update deliveries applied (own + remote)
+	st  *Station
+	rec *trace.Recorder
 }
 
 // NewReplica creates the replica for process id over the transport and
 // registers its delivery handler. rec may be nil (no recording).
 func NewReplica(tr net.Transport, id int, t spec.ADT, mode Mode, rec *trace.Recorder) *Replica {
-	r := &Replica{id: id, t: t, mode: mode, rec: rec, state: t.Init()}
-	r.ownCond = sync.NewCond(&r.mu)
-	r.tl = newTSLog(t, vclock.Timestamp.Less)
-	r.lastVT = make([]int, tr.N())
-	switch mode {
-	case ModeCC, ModeCCv:
-		r.bc = broadcast.NewCausal(tr, id, r.onDeliver)
-	case ModePC:
-		r.bc = broadcast.NewFIFO(tr, id, r.onDeliver)
-	case ModeEC:
-		r.bc = broadcast.NewReliable(tr, id, r.onDeliver)
-	default:
-		panic(fmt.Sprintf("core: unknown mode %v", mode))
-	}
-	return r
+	st := NewStation(tr, id, mode, StationConfig{}) // unbatched: Invoke flushes synchronously
+	// Install the object from the ADT value, not a registry name: t may
+	// be parameterised (adt.NewWindowArray(2, 1)). Every replica of the
+	// group does this before any traffic, so deliveries never resolve
+	// the wire ADT name.
+	st.mu.Lock()
+	st.createLocked(replicaObject, t.Name(), t)
+	st.mu.Unlock()
+	return &Replica{st: st, rec: rec}
 }
 
 // ID returns the replica's process id.
-func (r *Replica) ID() int { return r.id }
+func (r *Replica) ID() int { return r.st.ID() }
 
 // Mode returns the replica's consistency mode.
-func (r *Replica) Mode() Mode { return r.mode }
+func (r *Replica) Mode() Mode { return r.st.Mode() }
 
 // Stats returns a snapshot of the replica's counters.
-func (r *Replica) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
-}
+func (r *Replica) Stats() StationStats { return r.st.Stats() }
 
 // DisableRecording detaches the trace recorder, for long benchmark runs
 // whose histories would otherwise grow without bound. Call it before
@@ -171,40 +141,14 @@ func (r *Replica) DisableRecording() { r.rec = nil }
 // take effect at every replica upon delivery (immediately at the
 // caller). The call never waits for the network.
 func (r *Replica) Invoke(in spec.Input) spec.Output {
-	isUpdate := r.t.IsUpdate(in)
-	var out spec.Output
-	if isUpdate {
-		var ts vclock.Timestamp
-		if r.mode == ModeEC || r.mode == ModeCCv {
-			r.mu.Lock()
-			ts = vclock.Timestamp{VT: r.clock.Time() + 1, PID: r.id} // Fig. 5 line 8: vtime+1
-			r.mu.Unlock()
-		}
-		// Local delivery is immediate: on the single-threaded simulator
-		// it happens synchronously inside Broadcast; on the live
-		// transport it may be handed to a concurrent delivery drainer,
-		// so wait for it (a local computation, not remote progress —
-		// wait-freedom is preserved).
-		r.bc.Broadcast(updMsg{In: in, TS: ts})
-		r.mu.Lock()
-		for len(r.ownOuts) == 0 {
-			r.ownCond.Wait()
-		}
-		out = r.ownOuts[0]
-		r.ownOuts = r.ownOuts[1:]
-		r.stats.Invocations++
-		r.stats.Updates++
-		r.mu.Unlock()
-	} else {
-		r.mu.Lock()
-		q := r.currentStateLocked()
-		_, out = r.t.Step(q, in)
-		r.stats.Invocations++
-		r.stats.Queries++
-		r.mu.Unlock()
+	out, err := r.st.Invoke(replicaObject, in)
+	if err != nil {
+		// The object exists since construction and the station is never
+		// closed or downed: no error path is reachable.
+		panic(err)
 	}
 	if r.rec != nil {
-		r.rec.Record(r.id, in, out)
+		r.rec.Record(r.st.ID(), in, out)
 	}
 	return out
 }
@@ -214,90 +158,20 @@ func (r *Replica) Read(method string, args ...int) spec.Output {
 	return r.Invoke(spec.NewInput(method, args...))
 }
 
-// onDeliver applies a delivered update.
-func (r *Replica) onDeliver(origin int, payload any) {
-	m, ok := payload.(updMsg)
-	if !ok {
-		return
-	}
-	r.mu.Lock()
-	var out spec.Output
-	switch r.mode {
-	case ModeCC, ModePC:
-		r.state, out = r.t.Step(r.state, m.In)
-	case ModeEC, ModeCCv:
-		// Fig. 5 line 11: witness the timestamp, then insert the update
-		// at its timestamp-ordered position.
-		r.clock.Witness(m.TS.VT)
-		if m.TS.VT > r.lastVT[origin] {
-			r.lastVT[origin] = m.TS.VT
-		}
-		pos := r.tl.insert(m.TS, m.In)
-		if origin == r.id {
-			// The update's own output is computed in the state reached
-			// by the updates that precede it in the shared total order.
-			q := r.tl.replay(pos)
-			_, out = r.t.Step(q, m.In)
-		}
-	}
-	r.stats.Applied++
-	if origin == r.id {
-		r.ownOuts = append(r.ownOuts, out)
-		r.ownCond.Broadcast()
-	}
-	r.mu.Unlock()
-}
-
-// currentStateLocked returns the state a query observes.
-func (r *Replica) currentStateLocked() spec.State {
-	switch r.mode {
-	case ModeCC, ModePC:
-		return r.state
-	default:
-		return r.tl.state()
-	}
-}
-
 // CompactLog garbage-collects the stable prefix of the timestamp log
-// (EC/CCv modes): an entry is stable once every process has been heard
-// from with a strictly larger Lamport time — causal (hence per-origin
-// FIFO) delivery and clock monotonicity then guarantee no future update
-// can be ordered before it, so the prefix can be folded into a base
-// state without changing any future read. This is the generic
-// counterpart of Fig. 5's built-in truncation to the k newest cells
-// (the window array is, in effect, permanently compacted). It returns
-// the number of entries removed.
-//
-// Stability requires hearing from every process, so a silent process
-// blocks compaction — the classic price of log-based convergence.
-func (r *Replica) CompactLog() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.mode != ModeEC && r.mode != ModeCCv {
-		return 0
-	}
-	stable := r.lastVT[0]
-	for _, vt := range r.lastVT[1:] {
-		if vt < stable {
-			stable = vt
-		}
-	}
-	// Fold the stable prefix into the base and drop it.
-	return r.tl.compact(func(ts vclock.Timestamp) bool { return ts.VT <= stable })
-}
+// and returns the number of entries removed (see Station.Compact: CCv
+// only). This is the generic counterpart of Fig. 5's built-in
+// truncation to the k newest cells (the window array is, in effect,
+// permanently compacted).
+func (r *Replica) CompactLog() int { return r.st.Compact() }
 
 // StateKey returns the canonical key of the replica's current local
 // state; two replicas with equal keys have converged.
 func (r *Replica) StateKey() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.currentStateLocked().Key()
+	key, _ := r.st.StateKey(replicaObject)
+	return key
 }
 
-// LogLen returns the number of updates the replica has applied to its
-// timestamp log (EC/CCv modes).
-func (r *Replica) LogLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tl.size()
-}
+// LogLen returns the number of updates in the replica's timestamp log
+// (EC/CCv modes).
+func (r *Replica) LogLen() int { return r.st.Stats().LogLen }

@@ -55,7 +55,7 @@ func (r *SCReplica) Invoke(in spec.Input) spec.Output {
 		r.issued++
 		target := r.issued
 		r.mu.Unlock()
-		r.bc.Broadcast(updMsg{In: in})
+		r.bc.Broadcast(in)
 		r.mu.Lock()
 		for r.done < target {
 			r.applied.Wait()
@@ -75,13 +75,13 @@ func (r *SCReplica) Invoke(in spec.Input) spec.Output {
 }
 
 func (r *SCReplica) onDeliver(origin int, payload any) {
-	m, ok := payload.(updMsg)
+	in, ok := payload.(spec.Input)
 	if !ok {
 		return
 	}
 	r.mu.Lock()
 	var out spec.Output
-	r.state, out = r.t.Step(r.state, m.In)
+	r.state, out = r.t.Step(r.state, in)
 	if origin == r.id {
 		r.ownOuts = append(r.ownOuts, out)
 		r.done++

@@ -1,22 +1,22 @@
 package core
 
-// Station is the serving-layer counterpart of Replica: one process's
-// copy of MANY named objects, all disseminated over a single broadcast
-// layer, with update batching on the hot path. A replica group of n
-// Stations over one transport forms a shard of the multi-object
-// service (cc/cluster); clients may invoke one Station from many
-// goroutines concurrently (unlike Replica, whose contract is the
-// paper's sequential process).
+// Station is the package's one fold: one process's copy of MANY named
+// objects, all disseminated over a single broadcast layer, with update
+// batching on the hot path. A replica group of n Stations over one
+// transport forms a shard of the multi-object service (cc/cluster);
+// clients may invoke one Station from many goroutines concurrently.
+// Replica wraps an unbatched one-object Station for the paper's
+// sequential-process experiments.
 //
-// The consistency criterion is per-group, selected exactly as for
-// Replica: CC (causal broadcast, apply on delivery), PC (FIFO), EC
-// (unordered + timestamp-ordered fold), CCv (causal + timestamp-
-// ordered fold). For CCv the total-order timestamp is derived from the
-// causal layer's own vector stamp (its coordinate sum, tie-broken by
-// origin), which the layer assigns atomically with the causal ordering
-// decision — so the timestamp order extends causality by construction
-// even when deliveries race invocations, with no application-level
-// Lamport window.
+// The consistency criterion is per-group (see the package comment): CC
+// (causal broadcast, apply on delivery), PC (FIFO), EC (unordered +
+// timestamp-ordered fold), CCv (causal + timestamp-ordered fold). For
+// CCv the total-order timestamp is derived from the causal layer's own
+// vector stamp (its coordinate sum, tie-broken by origin), which the
+// layer assigns atomically with the causal ordering decision — so the
+// timestamp order extends causality by construction even when
+// deliveries race invocations, with no application-level Lamport
+// window.
 
 import (
 	"errors"
@@ -157,7 +157,7 @@ type stObject struct {
 
 	// Timestamp-ordered modes (EC, CCv): the shared timestamp-ordered
 	// log with its replay cache.
-	tl *tsLog[totalTS]
+	tl *tsLog
 }
 
 // StationStats counts a station's activity.
@@ -419,7 +419,7 @@ func (s *Station) EnsureObject(name, adtName string) error {
 }
 
 func (s *Station) createLocked(name, adtName string, t spec.ADT) *stObject {
-	o := &stObject{t: t, adtName: adtName, state: t.Init(), tl: newTSLog(t, totalTS.less)}
+	o := &stObject{t: t, adtName: adtName, state: t.Init(), tl: newTSLog(t)}
 	s.objs[name] = o
 	s.stats.Objects = len(s.objs)
 	return o
@@ -771,12 +771,14 @@ func (s *Station) DropObject(name string) {
 
 // Compact garbage-collects the stable prefix of every object's
 // timestamp log, returning the total number of entries folded away.
-// Only CCv compacts: causal delivery is per-origin FIFO, so an entry
-// is stable once every origin has been heard from with a strictly
-// larger timestamp (see Replica.CompactLog). EC's unordered
-// dissemination gives no such guarantee — a slow flood may deliver an
-// old timestamp after arbitrarily newer ones — so EC logs are left
-// intact.
+// Only CCv compacts: causal delivery is per-origin FIFO and an origin's
+// stamps strictly grow, so once every origin has been heard from with
+// a timestamp >= VT no future update can be ordered at or before VT,
+// and folding that prefix into the base changes no future read. A
+// silent origin therefore blocks compaction — the classic price of
+// log-based convergence. EC's unordered dissemination gives no such
+// guarantee — a slow flood may deliver an old timestamp after
+// arbitrarily newer ones — so EC logs are left intact.
 func (s *Station) Compact() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -791,7 +793,7 @@ func (s *Station) Compact() int {
 	}
 	total := 0
 	for _, o := range s.objs {
-		total += o.tl.compact(func(ts totalTS) bool { return ts.VT <= stable })
+		total += o.tl.compact(stable)
 	}
 	return total
 }

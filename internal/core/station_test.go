@@ -1,13 +1,19 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/paper-repro/ccbm/internal/adt"
+	"github.com/paper-repro/ccbm/internal/check"
 	"github.com/paper-repro/ccbm/internal/net"
+	"github.com/paper-repro/ccbm/internal/sim"
 	"github.com/paper-repro/ccbm/internal/spec"
+	"github.com/paper-repro/ccbm/internal/trace"
 )
 
 // newStationGroup wires n stations over a live transport.
@@ -248,6 +254,87 @@ func TestStationCompact(t *testing.T) {
 	settleGroup(lvEC, stsEC)
 	if n := stsEC[0].Compact(); n != 0 {
 		t.Fatalf("EC Compact folded %d entries, want 0", n)
+	}
+}
+
+// TestStationWholeRunOracle runs the multi-object serving path under
+// the seeded simulator — three unbatched stations, a Register and a
+// Queue2 sharing one broadcast layer — and hands each object's COMPLETE
+// recorded history to the exact checker for the claimed criterion, then
+// requires the timestamp-ordered modes to converge. Single-threaded and
+// seeded: no sleeps, no sampling, and a failure replays from its seed.
+func TestStationWholeRunOracle(t *testing.T) {
+	const n, ops = 3, 16
+	objects := []struct {
+		name string
+		adt  spec.ADT
+		gen  func(rng *rand.Rand, val int) spec.Input
+	}{
+		{"reg", adt.Register{}, func(rng *rand.Rand, val int) spec.Input {
+			if rng.Intn(2) == 0 {
+				return spec.NewInput("w", val)
+			}
+			return spec.NewInput("r")
+		}},
+		{"queue", adt.Queue2{}, func(rng *rand.Rand, val int) spec.Input {
+			switch rng.Intn(3) {
+			case 0:
+				return spec.NewInput("push", val)
+			case 1:
+				return spec.NewInput("rh", rng.Intn(val)+1)
+			}
+			return spec.NewInput("hd")
+		}},
+	}
+	claims := map[Mode]check.Criterion{ModeCC: check.CritCC, ModeCCv: check.CritCCv}
+	for _, mode := range []Mode{ModeCC, ModeCCv, ModeEC} {
+		for seed := int64(1); seed <= 10; seed++ {
+			nw := sim.New(n, seed)
+			sts := make([]*Station, n)
+			for i := range sts {
+				sts[i] = NewStation(nw, i, mode, StationConfig{})
+			}
+			recs := make([]*trace.Recorder, len(objects))
+			for i, o := range objects {
+				ensureAll(t, sts, o.name, o.adt.Name())
+				recs[i] = trace.New(o.adt, n)
+			}
+			rng := rand.New(rand.NewSource(seed * 7919))
+			for val := 1; val <= ops; val++ {
+				p, i := rng.Intn(n), rng.Intn(len(objects))
+				in := objects[i].gen(rng, val)
+				out, err := sts[p].Invoke(objects[i].name, in)
+				if err != nil {
+					t.Fatalf("%v seed %d: %v", mode, seed, err)
+				}
+				recs[i].Record(p, in, out)
+				for d := rng.Intn(4); d > 0; d-- {
+					nw.Step()
+				}
+			}
+			nw.Run(0)
+			for i, o := range objects {
+				if crit, ok := claims[mode]; ok {
+					h := recs[i].History()
+					sat, _, err := check.Check(context.Background(), crit, h, check.Options{Prune: check.PruneAll()})
+					if err != nil {
+						t.Fatalf("%v seed %d %s: %v", mode, seed, o.name, err)
+					}
+					if !sat {
+						t.Fatalf("%v seed %d: object %s history is not %v:\n%s", mode, seed, o.name, crit, h)
+					}
+				}
+				if mode == ModeCC {
+					continue // apply-on-delivery may diverge for good
+				}
+				want, _ := sts[0].StateKey(o.name)
+				for p := 1; p < n; p++ {
+					if got, _ := sts[p].StateKey(o.name); got != want {
+						t.Fatalf("%v seed %d: object %s diverged: station %d %q vs station 0 %q", mode, seed, o.name, p, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

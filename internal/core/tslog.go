@@ -7,40 +7,37 @@ import (
 )
 
 // tsEntry is one timestamped update in a tsLog.
-type tsEntry[TS any] struct {
-	ts TS
+type tsEntry struct {
+	ts totalTS
 	in spec.Input
 }
 
-// tsLog is the timestamp-ordered update log of the convergent modes
-// (EC, CCv), shared by Replica and Station objects: updates are
-// inserted at their timestamp position and reads fold base+log through
-// a replay cache. The cache discipline: cacheState is the fold of base
-// plus log[:cacheLen]; an insertion below cacheLen invalidates it, a
-// full replay re-arms it. The caller provides the strict total order
-// on timestamps.
-type tsLog[TS any] struct {
-	t    spec.ADT
-	less func(a, b TS) bool
+// tsLog is the timestamp-ordered update log of one Station object in
+// the convergent modes (EC, CCv): updates are inserted at their totalTS
+// position and reads fold base+log through a replay cache. The cache
+// discipline: cacheState is the fold of base plus log[:cacheLen]; an
+// insertion below cacheLen invalidates it, a full replay re-arms it.
+type tsLog struct {
+	t spec.ADT
 
-	log        []tsEntry[TS]
+	log        []tsEntry
 	base       spec.State
 	cacheState spec.State
 	cacheLen   int
 }
 
-func newTSLog[TS any](t spec.ADT, less func(a, b TS) bool) *tsLog[TS] {
+func newTSLog(t spec.ADT) *tsLog {
 	base := t.Init()
-	return &tsLog[TS]{t: t, less: less, base: base, cacheState: base}
+	return &tsLog{t: t, base: base, cacheState: base}
 }
 
 // insert places the update at its timestamp-ordered position and
 // returns that position.
-func (l *tsLog[TS]) insert(ts TS, in spec.Input) int {
-	pos := sort.Search(len(l.log), func(i int) bool { return l.less(ts, l.log[i].ts) })
-	l.log = append(l.log, tsEntry[TS]{})
+func (l *tsLog) insert(ts totalTS, in spec.Input) int {
+	pos := sort.Search(len(l.log), func(i int) bool { return ts.less(l.log[i].ts) })
+	l.log = append(l.log, tsEntry{})
 	copy(l.log[pos+1:], l.log[pos:])
-	l.log[pos] = tsEntry[TS]{ts: ts, in: in}
+	l.log[pos] = tsEntry{ts: ts, in: in}
 	if pos < l.cacheLen {
 		// Mid-log insertion invalidates the replay cache.
 		l.cacheState = l.base
@@ -50,7 +47,7 @@ func (l *tsLog[TS]) insert(ts TS, in spec.Input) int {
 }
 
 // replay folds base plus log[:n], advancing the cache when possible.
-func (l *tsLog[TS]) replay(n int) spec.State {
+func (l *tsLog) replay(n int) spec.State {
 	if n >= l.cacheLen {
 		q := l.cacheState
 		for i := l.cacheLen; i < n; i++ {
@@ -69,29 +66,27 @@ func (l *tsLog[TS]) replay(n int) spec.State {
 }
 
 // state returns the fold of the whole log.
-func (l *tsLog[TS]) state() spec.State { return l.replay(len(l.log)) }
+func (l *tsLog) state() spec.State { return l.replay(len(l.log)) }
 
 // size returns the number of live log entries.
-func (l *tsLog[TS]) size() int { return len(l.log) }
+func (l *tsLog) size() int { return len(l.log) }
 
 // seed resets the log to an externally produced base state with no
 // live entries — the migration import path. Every update folded into
 // base is strictly "in the past" of any entry inserted later, the same
 // invariant compact establishes for its folded prefix.
-func (l *tsLog[TS]) seed(base spec.State) {
+func (l *tsLog) seed(base spec.State) {
 	l.base = base
 	l.log = nil
 	l.cacheState, l.cacheLen = base, 0
 }
 
-// compact folds away the longest prefix of entries satisfying stable
-// (which must be downward closed in the log order: once false, false
-// for every later entry) and returns how many were removed. The
-// soundness condition — no future insert may be ordered inside the
-// folded prefix — is the caller's to establish (see Replica.CompactLog
-// and Station.Compact).
-func (l *tsLog[TS]) compact(stable func(TS) bool) int {
-	idx := sort.Search(len(l.log), func(i int) bool { return !stable(l.log[i].ts) })
+// compact folds away the prefix of entries with VT <= stableVT and
+// returns how many were removed. The soundness condition — no future
+// insert may be ordered inside the folded prefix — is the caller's to
+// establish (see Station.Compact).
+func (l *tsLog) compact(stableVT int) int {
+	idx := sort.Search(len(l.log), func(i int) bool { return l.log[i].ts.VT > stableVT })
 	if idx == 0 {
 		return 0
 	}
@@ -100,7 +95,7 @@ func (l *tsLog[TS]) compact(stable func(TS) bool) int {
 		q, _ = l.t.Step(q, l.log[i].in)
 	}
 	l.base = q
-	l.log = append([]tsEntry[TS](nil), l.log[idx:]...)
+	l.log = append([]tsEntry(nil), l.log[idx:]...)
 	l.cacheState, l.cacheLen = l.base, 0
 	return idx
 }

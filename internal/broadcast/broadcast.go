@@ -76,9 +76,12 @@ type delivery struct {
 }
 
 // enqueue appends deliveries without draining. Layers that compute
-// ready-lists from more than one goroutine call it while still holding
-// their state lock — so the outQueue order always matches the order
-// the ordering decision was made — and drain afterwards.
+// ready-lists from more than one goroutine (FIFO and Causal: the
+// broadcasting goroutine and the transport's) must call it while still
+// holding their state lock — so the outQueue order always matches the
+// order the ordering decision was made — and drain after unlocking.
+// Enqueueing after the unlock lets a later ready list overtake an
+// earlier one.
 func (q *outQueue) enqueue(ds []delivery) {
 	q.mu.Lock()
 	q.queue = append(q.queue, ds...)
@@ -175,9 +178,18 @@ func (c *relCore) resync() {
 
 // broadcast stamps, floods and locally delivers a new envelope.
 func (c *relCore) broadcast(vc vclock.VC, payload any) {
+	c.broadcastWith(vc, func() any { return payload })
+}
+
+// broadcastWith is broadcast with the payload built by mk under the
+// sequence lock, so whatever mk stamps is ordered like the sequence
+// numbers. mk may take its layer's lock: the lock order is relCore.mu
+// before any layer lock, and no layer calls into relCore holding its
+// own.
+func (c *relCore) broadcastWith(vc vclock.VC, mk func() any) {
 	c.mu.Lock()
 	c.seq++
-	env := envelope{ID: msgID{Origin: c.id, Seq: c.seq}, VC: vc, Payload: payload}
+	env := envelope{ID: msgID{Origin: c.id, Seq: c.seq}, VC: vc, Payload: mk()}
 	c.seen[env.ID] = true
 	if c.retain {
 		c.log = append(c.log, env)
@@ -280,8 +292,9 @@ func (f *FIFO) onEnv(env envelope) {
 			break
 		}
 	}
+	f.out.enqueue(ready)
 	f.mu.Unlock()
-	f.out.dispatch(ready)
+	f.out.drain()
 }
 
 // Causal is reliable causal-order broadcast: a message is delivered
@@ -340,8 +353,9 @@ func (c *Causal) onEnv(env envelope) {
 			break
 		}
 	}
+	c.out.enqueue(ready)
 	c.mu.Unlock()
-	c.out.dispatch(ready)
+	c.out.drain()
 }
 
 // VC returns a snapshot of the layer's delivered-count vector, used by

@@ -256,3 +256,42 @@ func TestLayersOnLiveTransport(t *testing.T) {
 	}
 	lv.Close()
 }
+
+// TestTotalAgreementLive: on the goroutine transport, with every
+// process broadcasting concurrently, all processes still deliver the
+// same total order. A Lamport stamp that leaves out of FIFO sequence
+// order, or a ready list dispatched after a later one, breaks it.
+func TestTotalAgreementLive(t *testing.T) {
+	const n, per = 4, 100
+	lv := net.NewLive(n)
+	defer lv.Close()
+	rec := newRecorder(n)
+	var bs []*broadcast.Total
+	for i := 0; i < n; i++ {
+		bs = append(bs, broadcast.NewTotal(lv, i, rec.deliver(i)))
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < per; j++ {
+				bs[i].Broadcast(fmt.Sprintf("p%d-%d", i, j))
+			}
+		}(i)
+	}
+	wg.Wait()
+	lv.Quiesce()
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for p := 0; p < n; p++ {
+		if len(rec.msgs[p]) != n*per {
+			t.Fatalf("process %d delivered %d, want %d", p, len(rec.msgs[p]), n*per)
+		}
+		for i := range rec.msgs[p] {
+			if rec.msgs[p][i] != rec.msgs[0][i] {
+				t.Fatalf("process %d diverges from p0 at %d: %v vs %v", p, i, rec.msgs[p][i], rec.msgs[0][i])
+			}
+		}
+	}
+}

@@ -61,17 +61,26 @@ func NewTotal(t net.Transport, id int, d Deliver) *Total {
 // Broadcast implements Broadcaster. The call itself does not wait;
 // delivery (including local delivery) happens once every process has
 // acknowledged, so unlike the other layers local delivery is deferred.
-func (tot *Total) Broadcast(payload any) {
-	tot.mu.Lock()
-	ts := vclock.Timestamp{VT: tot.clock.Tick(), PID: tot.id}
-	tot.mu.Unlock()
-	tot.fifo.Broadcast(totMsg{TS: ts, Payload: payload})
+func (tot *Total) Broadcast(payload any) { tot.send(false, payload) }
+
+// send stamps and broadcasts a message or an acknowledgement. The
+// Lamport tick is taken inside the FIFO layer's sequence lock, so this
+// process's stamps leave in FIFO sequence order: a receiver that has
+// seen stamp s from p has already delivered every message p stamped
+// below s, which is what makes lastSeen a stability bound. Lock order:
+// relCore.mu, then Total.mu.
+func (tot *Total) send(ack bool, payload any) {
+	tot.fifo.core.broadcastWith(nil, func() any {
+		tot.mu.Lock()
+		defer tot.mu.Unlock()
+		return totMsg{TS: vclock.Timestamp{VT: tot.clock.Tick(), PID: tot.id}, Ack: ack, Payload: payload}
+	})
 }
 
 func (tot *Total) onDeliver(origin int, payload any) {
 	m := payload.(totMsg)
 	var ready []totPending
-	var ack *totMsg
+	ack := false
 	tot.mu.Lock()
 	tot.clock.Witness(m.TS.VT)
 	if tot.lastSeen[origin].Less(m.TS) {
@@ -80,14 +89,12 @@ func (tot *Total) onDeliver(origin int, payload any) {
 	if !m.Ack {
 		tot.pending = append(tot.pending, totPending{ts: m.TS, origin: origin, payload: m.Payload})
 		sort.Slice(tot.pending, func(i, j int) bool { return tot.pending[i].ts.Less(tot.pending[j].ts) })
-		if origin != tot.id {
-			ack = &totMsg{TS: vclock.Timestamp{VT: tot.clock.Tick(), PID: tot.id}, Ack: true}
-		}
+		ack = origin != tot.id
 	}
 	ready = tot.drainLocked()
 	tot.mu.Unlock()
-	if ack != nil {
-		tot.fifo.Broadcast(*ack)
+	if ack {
+		tot.send(true, nil)
 	}
 	for _, p := range ready {
 		tot.deliver(p.origin, p.payload)

@@ -20,6 +20,7 @@ package ccbm
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -28,6 +29,7 @@ import (
 	"github.com/paper-repro/ccbm/internal/check"
 	"github.com/paper-repro/ccbm/internal/consensus"
 	"github.com/paper-repro/ccbm/internal/core"
+	"github.com/paper-repro/ccbm/internal/history"
 	"github.com/paper-repro/ccbm/internal/paperfig"
 	"github.com/paper-repro/ccbm/internal/sim"
 	"github.com/paper-repro/ccbm/internal/trace"
@@ -75,6 +77,39 @@ func BenchmarkFig1HierarchyCheck(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkWindowCC checks a monitor-window-shaped history — a causal
+// counter over 6 sessions and 40 operations, inc/get alternating,
+// outputs from the round-robin interleaving — under CC with every
+// pruner on and one worker: the online monitor's per-window cost.
+func BenchmarkWindowCC(b *testing.B) {
+	const procs, total = 6, 40
+	lines := make([][]string, procs)
+	count := 0
+	for i := 0; i < total; i++ {
+		p := i % procs
+		if i%2 == 0 {
+			lines[p] = append(lines[p], "inc")
+			count++
+		} else {
+			lines[p] = append(lines[p], fmt.Sprintf("get/%d", count))
+		}
+	}
+	var sb strings.Builder
+	sb.WriteString("adt: Counter\n")
+	for p := range lines {
+		fmt.Fprintf(&sb, "p%d: %s\n", p, strings.Join(lines[p], " "))
+	}
+	h := history.MustParse(sb.String())
+	opt := check.Options{Prune: check.PruneAll(), Parallelism: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ok, _, err := check.Check(context.Background(), check.CritCC, h, opt)
+		if err != nil || !ok {
+			b.Fatalf("CC = %v, %v; want true, nil", ok, err)
+		}
 	}
 }
 

@@ -66,15 +66,15 @@ type causalSearcher struct {
 	pasts     []porder.Bitset // ⌊e⌋ \ {e} for committed events
 	perEvent  [][]int         // witness linearization per event
 
-	// memo holds fingerprints of failed states; stateHash is the
-	// current state's fingerprint, maintained incrementally across
-	// commit/uncommit (hashStack saves the pre-commit value per depth).
-	// In parallel mode the commit-level entries live in shard instead —
-	// a lock-sharded table the subtree tasks share — while memo keeps
-	// serving the (epoch-mixed, task-private) per-event lin queries.
-	// With canonical pruning active, the pruner's frame key replaces
-	// the order-sensitive stateHash as the commit-level key, making the
-	// same tables the canonicalization tables.
+	// memo holds fingerprints of failed commit-level states; stateHash
+	// is the current state's fingerprint, maintained incrementally
+	// across commit/uncommit (hashStack saves the pre-commit value per
+	// depth). In parallel mode the entries live in shard instead — a
+	// lock-sharded table the subtree tasks share. With canonical
+	// pruning active, the pruner's frame key replaces the
+	// order-sensitive stateHash as the key, making the same tables the
+	// canonicalization tables. The per-event lin queries keep their own
+	// per-query memo inside ls.
 	memo      map[uint64]struct{}
 	shard     *shardedMemo
 	stateHash uint64
@@ -98,7 +98,8 @@ type causalSearcher struct {
 	frames []csFrame
 
 	// Reusable per-event check machinery: one linearization engine for
-	// the whole search (epoch-separated memo), plus scratch for the
+	// the whole search (its failed-state memo reset per query, its
+	// transition cache kept across queries), plus scratch for the
 	// include/visible projections. The engine's preds slice is cs.pasts
 	// itself: commitWith publishes the tentative past in pasts[e] before
 	// checkEvent runs, so no per-event predecessor indirection exists.
@@ -130,13 +131,8 @@ func newCausalSearcher(h *history.History, kind causalKind, maxNodes int, prune 
 		t: h.ADT, events: h.Events, budget: cs.budget,
 		// The causal search issues one linearization query per candidate
 		// commit over overlapping pasts, so transition caching pays for
-		// itself (see linSearcher.steps). One failed-state memo serves
-		// both searches: the commit-level keys are order-sensitive folds
-		// (or the pruner's canonical folds) and the per-event keys are
-		// epoch-mixed, so the two key populations cannot collide except
-		// by 64-bit accident.
-		memo:  cs.memo,
-		steps: make(map[stepKey]stepVal),
+		// itself (see linSearcher.steps).
+		steps: &fpTable[stepVal]{},
 	}
 	// All fixed-size working memory comes out of two slabs: one for
 	// every scratch bitset (per-depth frames plus the searcher's own),
@@ -148,7 +144,7 @@ func newCausalSearcher(h *history.History, kind causalKind, maxNodes int, prune 
 	// feasible for trivially-satisfiable histories anyway, and an
 	// upfront O(n²) allocation would dwarf the search's real footprint.
 	words := (n + 63) / 64
-	bitSlab := make(porder.Bitset, (2*n+5)*words+n)
+	bitSlab := make(porder.Bitset, (2*n+4)*words+n)
 	cut := func(k int) porder.Bitset {
 		b := bitSlab[: k*words : k*words]
 		bitSlab = bitSlab[k*words:]
@@ -158,7 +154,6 @@ func newCausalSearcher(h *history.History, kind causalKind, maxNodes int, prune 
 	cs.include = cut(1)
 	cs.visible = cut(1)
 	cs.ls.done = cut(1)
-	cs.ls.scratch = cut(1)
 	for i := range cs.frames {
 		cs.frames[i] = csFrame{forced: cut(1), past: cut(1)}
 	}

@@ -18,7 +18,11 @@
 // is therefore written to be allocation-free in steady state: memo
 // tables are keyed by 64-bit fingerprints (porder.Bitset.Hash64,
 // spec.State.Hash64) rather than built strings, scratch bitsets are
-// reused across nodes, and subset enumeration is lazy.
+// reused across nodes, and subset enumeration is lazy. The per-event
+// linearization search — the innermost and most-visited level — keeps
+// its failed-state memo and transition cache in flat open-addressing
+// tables (fptable.go) instead of Go maps; the memo is private to one
+// query and emptied in O(1) when the next query starts.
 // Fingerprint memoization is probabilistic — a 64-bit collision could
 // in principle prune a live branch — but over the ≤ DefaultMaxNodes
 // states a search can visit, the collision probability is ~10⁻¹²,
@@ -143,9 +147,8 @@ func (o Options) parallelism() int {
 //
 // One linSearcher may serve many queries (the causal checkers issue
 // one per candidate commit): all scratch state is reused across
-// queries, and the failed-state memo is shared, with a per-query epoch
-// folded into every fingerprint so entries from different queries can
-// never match.
+// queries, and the failed-state memo is reset at the start of each
+// one, so it only ever holds the current query's dead ends.
 type linSearcher struct {
 	t      spec.ADT
 	events []history.Event
@@ -154,21 +157,20 @@ type linSearcher struct {
 	// shared pool and carries the interrupt/cancel signals (see
 	// parallel.go); a nil feed leaves the classic "count down from
 	// MaxNodes" behaviour untouched.
-	feed  *feeder
-	memo  map[uint64]struct{} // failed (epoch, done, state) fingerprints
-	epoch uint64
+	feed *feeder
+	memo fpTable[struct{}] // failed (done, state) fingerprints of the current query
 
 	// q0 caches t.Init() (states are immutable, so one instance serves
-	// every query). steps, when non-nil, memoizes δ/λ by (state
-	// fingerprint, event): the causal checkers issue one query per
-	// candidate commit and revisit the same few states constantly, so
-	// a cached transition (a map probe) beats rebuilding an immutable
-	// state; single-query searchers (SC, PC, UC, CM, linearizability)
-	// leave it nil and call Step directly, as most transitions are
-	// visited once. Both caches are query-independent and live for the
-	// searcher's lifetime.
+	// every query). steps, when non-nil, memoizes δ/λ by the mixed
+	// (state fingerprint, event) key: the causal checkers issue one
+	// query per candidate commit and revisit the same few states
+	// constantly, so a cached transition (a table probe) beats
+	// rebuilding an immutable state; single-query searchers (SC, PC,
+	// UC, CM, linearizability) leave it nil and call Step directly, as
+	// most transitions are visited once. Both caches are
+	// query-independent and live for the searcher's lifetime.
 	q0    spec.State
-	steps map[stepKey]stepVal
+	steps *fpTable[stepVal]
 
 	// Query context, fixed for the duration of one findLin call.
 	include porder.Bitset
@@ -177,14 +179,8 @@ type linSearcher struct {
 	total   int
 
 	// Scratch reused across queries.
-	done    porder.Bitset
-	scratch porder.Bitset
-	seq     []int
-}
-
-type stepKey struct {
-	q uint64 // state fingerprint
-	e int32  // event id (fixed input + expected output)
+	done porder.Bitset
+	seq  []int
 }
 
 type stepVal struct {
@@ -199,11 +195,11 @@ func (ls *linSearcher) step(q spec.State, qh uint64, e int) (spec.State, spec.Ou
 	if ls.steps == nil {
 		return ls.t.Step(q, ls.events[e].Op.In)
 	}
-	sk := stepKey{q: qh, e: int32(e)}
-	sv, ok := ls.steps[sk]
+	k := xhash.Mix(qh, uint64(e))
+	sv, ok := ls.steps.get(k)
 	if !ok {
 		sv.q, sv.out = ls.t.Step(q, ls.events[e].Op.In)
-		ls.steps[sk] = sv
+		ls.steps.put(k, sv)
 	}
 	return sv.q, sv.out
 }
@@ -326,15 +322,11 @@ func (ls *linSearcher) findLin(include, visible porder.Bitset, preds []porder.Bi
 // queries allocate nothing in steady state.
 func (ls *linSearcher) findLinInto(dst []int, include, visible porder.Bitset, preds []porder.Bitset) ([]int, bool) {
 	n := len(ls.events)
-	if ls.memo == nil {
-		ls.memo = make(map[uint64]struct{})
-	}
-	ls.epoch++
+	ls.memo.reset()
 	ls.include, ls.visible, ls.preds = include, visible, preds
 	ls.total = include.Count()
 	if len(ls.done)*64 < n {
 		ls.done = porder.NewBitset(n)
-		ls.scratch = porder.NewBitset(n)
 	} else {
 		ls.done.ClearAll()
 	}
@@ -346,6 +338,9 @@ func (ls *linSearcher) findLinInto(dst []int, include, visible porder.Bitset, pr
 }
 
 // rec extends the partial linearization by one event and recurses.
+// Within one call done is the same at every candidate (each failed
+// branch undoes its own changes), so the candidates of a word can be
+// taken from include &^ done once.
 func (ls *linSearcher) rec(q spec.State, placed int) bool {
 	if placed == ls.total {
 		return true
@@ -355,20 +350,14 @@ func (ls *linSearcher) rec(q spec.State, placed int) bool {
 		return false
 	}
 	qh := q.Hash64()
-	key := xhash.Mix(xhash.Mix(ls.epoch, ls.done.Hash64()), qh)
-	if _, failed := ls.memo[key]; failed {
+	key := xhash.Mix(ls.done.Hash64(), qh)
+	if _, failed := ls.memo.get(key); failed {
 		return false
 	}
 	for wi, w := range ls.include {
-		for w != 0 {
+		for w &^= ls.done[wi]; w != 0; w &= w - 1 {
 			e := wi*64 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if ls.done.Has(e) {
-				continue
-			}
-			ls.scratch.CopyFrom(ls.preds[e])
-			ls.scratch.IntersectWith(ls.include)
-			if !ls.scratch.SubsetOf(ls.done) {
+			if !ls.preds[e].SubsetOfWithin(ls.done, ls.include) {
 				continue
 			}
 			q2, out := ls.step(q, qh, e)
@@ -387,7 +376,7 @@ func (ls *linSearcher) rec(q spec.State, placed int) bool {
 		}
 	}
 	if *ls.budget >= 0 {
-		ls.memo[key] = struct{}{}
+		ls.memo.put(key, struct{}{})
 	}
 	return false
 }

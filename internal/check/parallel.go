@@ -17,13 +17,14 @@ import (
 // the coordinator first expands the tree sequentially down to a small
 // frontier, then hands every surviving frontier node to a worker as an
 // independent subtree task. Each task replays its prefix of commit
-// decisions on a private searcher (own scratch frames, own per-event
-// lin memo) and searches its subtree to completion; only the
-// commit-level failed-state memo is shared, through a lock-sharded
-// fingerprint table, so one task's dead ends prune the others. With
-// canonical pruning enabled (Options.Prune.Canon) the shared table
-// holds the pruner's canonical frame keys instead, so the sharing
-// additionally collapses equivalent frames across tasks; the static
+// decisions on a private searcher (own scratch frames, own lin
+// transition cache and per-query lin memo) and searches its subtree
+// to completion; only the commit-level failed-state memo is shared,
+// through a lock-sharded fingerprint table, so one task's dead ends
+// prune the others. With canonical pruning enabled
+// (Options.Prune.Canon) the shared table holds the pruner's canonical
+// frame keys instead, so the sharing additionally collapses
+// equivalent frames across tasks; the static
 // sleep-set and symmetry rules are deterministic per frame and apply
 // identically in the expansion, the prefix-admitted replays aside, and
 // the subtree searches, so verdict and witness equality with the

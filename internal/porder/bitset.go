@@ -118,6 +118,23 @@ func (s Bitset) SubsetOf(t Bitset) bool {
 	return true
 }
 
+// SubsetOfWithin reports whether every element of s that is also in
+// within is in t — s ∩ within ⊆ t — without materializing the
+// intersection. The sets may differ in length: words missing from any
+// of them count as empty.
+func (s Bitset) SubsetOfWithin(t, within Bitset) bool {
+	for i := 0; i < len(s) && i < len(within); i++ {
+		w := s[i] & within[i]
+		if i < len(t) {
+			w &^= t[i]
+		}
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Equal reports whether s and t contain the same elements.
 func (s Bitset) Equal(t Bitset) bool {
 	if len(s) != len(t) {

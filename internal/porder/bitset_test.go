@@ -274,3 +274,48 @@ func TestBitsetString(t *testing.T) {
 		t.Fatal("empty set string")
 	}
 }
+
+func TestBitsetSubsetOfWithin(t *testing.T) {
+	// Random same-length triples against the materialized definition.
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(200)
+		s, u, within := NewBitset(n), NewBitset(n), NewBitset(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				s.Set(i)
+			}
+			if rng.Intn(2) == 0 {
+				u.Set(i)
+			}
+			if rng.Intn(2) == 0 {
+				within.Set(i)
+			}
+		}
+		inter := s.Clone()
+		inter.IntersectWith(within)
+		if got, want := s.SubsetOfWithin(u, within), inter.SubsetOf(u); got != want {
+			t.Fatalf("n=%d s=%v t=%v within=%v: SubsetOfWithin = %v, want %v", n, s, u, within, got, want)
+		}
+	}
+
+	// Unequal word lengths: missing words count as empty.
+	for _, tc := range []struct {
+		name         string
+		s, u, within Bitset
+		want         bool
+	}{
+		{"t shorter, s∩within beyond t", BitsetOf(130, 3, 100), BitsetOf(64, 3), FullBitset(130), false},
+		{"t shorter, within excludes the tail", BitsetOf(130, 3, 100), BitsetOf(64, 3), FullBitset(64), true},
+		{"within shorter", BitsetOf(130, 5, 129), BitsetOf(130, 5), BitsetOf(64, 5), true},
+		{"s shorter", BitsetOf(64, 1), BitsetOf(130, 1), FullBitset(130), true},
+		{"s shorter, missing element", BitsetOf(64, 1, 2), BitsetOf(130, 1), FullBitset(130), false},
+		{"nil s", nil, nil, FullBitset(130), true},
+		{"nil t", BitsetOf(70, 69), nil, FullBitset(70), false},
+		{"nil within", BitsetOf(70, 69), nil, nil, true},
+	} {
+		if got := tc.s.SubsetOfWithin(tc.u, tc.within); got != tc.want {
+			t.Errorf("%s: SubsetOfWithin = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

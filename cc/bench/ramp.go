@@ -81,8 +81,9 @@ func (r *RampResult) Result() LoadResult {
 }
 
 // Ramp steps the offered rate geometrically until the service stops
-// keeping up — achieved rate below FloorRatio of offered, or intended
-// p99 past MaxP99 — and reports the last sustained step as the knee.
+// keeping up — goodput (ops that succeeded, per second) below
+// FloorRatio of offered, or intended p99 past MaxP99 — and reports
+// the last sustained step as the knee.
 // The workload is Init'ed once and re-drives the same population at
 // every step (Setup re-runs, idempotently). cfg's Rate and Duration
 // are overridden per step.
@@ -100,7 +101,10 @@ func Ramp(ctx context.Context, w Workload, exec Executor, cfg RunConfig, rc Ramp
 			return res, err
 		}
 		p99 := time.Duration(rep.Intended.Quantile(0.99))
-		sustained := rep.Achieved >= rc.FloorRatio*rep.Offered
+		// Judge goodput: Achieved counts failed ops too, and a service
+		// that fails every op keeps up with any offered rate.
+		goodput := float64(rep.Ops-rep.Errors) / rep.Elapsed.Seconds()
+		sustained := goodput >= rc.FloorRatio*rep.Offered
 		reason := ""
 		if !sustained {
 			reason = "achieved rate below floor"

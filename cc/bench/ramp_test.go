@@ -123,3 +123,27 @@ func TestRampAllSustain(t *testing.T) {
 		t.Errorf("knee reason = %q", res.Knee.Reason)
 	}
 }
+
+// TestRampJudgesGoodput: a service that fails every op answers at
+// any offered rate, so Achieved (which counts failed ops) keeps up,
+// but it delivers nothing. The ramp must judge goodput and find no
+// knee.
+func TestRampJudgesGoodput(t *testing.T) {
+	res, err := Ramp(context.Background(), stubWorkload{}, &failExecutor{}, RunConfig{
+		Workers: 1,
+		Arrival: ArrivalFixed,
+	}, RampConfig{
+		StartRate:    200,
+		Steps:        2,
+		StepDuration: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Knee != nil {
+		t.Fatalf("knee = %+v over a service that failed every op, want none", res.Knee)
+	}
+	if len(res.Steps) != 1 || res.Steps[0].Sustained || res.Steps[0].Errors == 0 {
+		t.Fatalf("steps = %+v, want one unsustained step with errors", res.Steps)
+	}
+}

@@ -364,17 +364,20 @@ func (s *Station) WaitFrontier(want vclock.VC, timeout time.Duration) bool {
 // Fingerprint summarizes the station's replicated knowledge in one
 // 64-bit value; equal fingerprints across a replica group mean the
 // group has converged — the chaos harness's post-heal assertion.
-// What converges depends on the mode. EC and CCv arbitrate delivered
-// updates into one total order, so their states themselves converge:
-// the fingerprint folds every hosted object's canonical state key
-// (object names in sorted order, then keys). CC and PC apply updates
-// in delivery order, and causal delivery lets replicas interleave
-// concurrent non-commuting updates differently — their states may
-// legitimately differ forever, which is exactly the paper's point in
-// separating the criteria. There convergence means equal delivered
-// sets, witnessed by the order-insensitive XOR of delivered-op
-// hashes (delivery is exactly-once: the FIFO/causal layers and the
-// anti-entropy logs dedup by per-origin sequence).
+// Every mode folds in the delivered set, witnessed by the
+// order-insensitive XOR of delivered-op hashes (delivery is
+// exactly-once: the FIFO/causal layers and the anti-entropy logs dedup
+// by per-origin sequence). CC and PC apply updates in delivery order,
+// and causal delivery lets replicas interleave concurrent
+// non-commuting updates differently — their states may legitimately
+// differ forever, which is exactly the paper's point in separating the
+// criteria — so there the delivered set is the whole fingerprint. EC
+// and CCv arbitrate delivered updates into one total order, so their
+// states themselves converge: the fingerprint also folds every hosted
+// object's canonical state key (object names in sorted order, then
+// keys). The state alone would not do: a replica that has delivered
+// only inc(2) and one that has delivered only inc(1), inc(1) hold the
+// same counter while each still awaits the other's updates.
 func (s *Station) Fingerprint() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -398,7 +401,7 @@ func (s *Station) Fingerprint() uint64 {
 			h = xhash.Mix(h, uint64(c))
 		}
 	}
-	return h
+	return xhash.Mix(h, s.delivFP)
 }
 
 // EnsureObject creates the named object locally if it does not exist.

@@ -467,3 +467,37 @@ func TestStationManyObjectsManySessions(t *testing.T) {
 		lv.Close()
 	}
 }
+
+// TestFingerprintSeesInFlightUpdates: in the state-converging modes a
+// replica that has delivered inc(2) from origin 1 and one that has
+// delivered inc(1), inc(1) from origin 2 hold the same counter, yet
+// neither has seen the other's updates, so their fingerprints must
+// differ — otherwise Converged reports convergence with updates in
+// flight.
+func TestFingerprintSeesInFlightUpdates(t *testing.T) {
+	for _, mode := range []Mode{ModeEC, ModeCCv} {
+		t.Run(mode.String(), func(t *testing.T) {
+			converge := func(origin int, incs ...int) (key string, fp uint64) {
+				lv, sts := newStationGroup(t, 3, mode, StationConfig{})
+				defer lv.Close()
+				ensureAll(t, sts, "c", "Counter")
+				for _, k := range incs {
+					if _, err := sts[origin].Invoke("c", spec.NewInput("inc", k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				settleGroup(lv, sts)
+				key, _ = sts[0].StateKey("c")
+				return key, sts[0].Fingerprint()
+			}
+			keyA, a := converge(1, 2)
+			keyB, b := converge(2, 1, 1)
+			if keyA != keyB {
+				t.Fatalf("states differ (%q vs %q); the test needs equal states", keyA, keyB)
+			}
+			if a == b {
+				t.Fatalf("inc(2) from origin 1 and inc(1), inc(1) from origin 2 share fingerprint %#x", a)
+			}
+		})
+	}
+}

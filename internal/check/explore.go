@@ -144,7 +144,7 @@ func newCausalSearcher(h *history.History, kind causalKind, maxNodes int, prune 
 	// feasible for trivially-satisfiable histories anyway, and an
 	// upfront O(n²) allocation would dwarf the search's real footprint.
 	words := (n + 63) / 64
-	bitSlab := make(porder.Bitset, (2*n+4)*words+n)
+	bitSlab := make(porder.Bitset, (4*n+4)*words+n)
 	cut := func(k int) porder.Bitset {
 		b := bitSlab[: k*words : k*words]
 		bitSlab = bitSlab[k*words:]
@@ -154,6 +154,8 @@ func newCausalSearcher(h *history.History, kind causalKind, maxNodes int, prune 
 	cs.include = cut(1)
 	cs.visible = cut(1)
 	cs.ls.done = cut(1)
+	cs.ls.desc = cut(n)
+	cs.ls.todo = cut(n)
 	for i := range cs.frames {
 		cs.frames[i] = csFrame{forced: cut(1), past: cut(1)}
 	}

@@ -22,7 +22,11 @@
 // linearization search — the innermost and most-visited level — keeps
 // its failed-state memo and transition cache in flat open-addressing
 // tables (fptable.go) instead of Go maps; the memo is private to one
-// query and emptied in O(1) when the next query starts.
+// query and emptied in O(1) when the next query starts. Each node walks
+// a per-depth copy of the unplaced events, and every event it visits
+// strikes its descendants (the transposed predecessor rows, built once
+// per query) from that copy, so an event blocked by an earlier-visited
+// one is never tested at all.
 // Fingerprint memoization is probabilistic — a 64-bit collision could
 // in principle prune a live branch — but over the ≤ DefaultMaxNodes
 // states a search can visit, the collision probability is ~10⁻¹²,
@@ -178,9 +182,14 @@ type linSearcher struct {
 	preds   []porder.Bitset
 	total   int
 
-	// Scratch reused across queries.
-	done porder.Bitset
-	seq  []int
+	// Scratch reused across queries. desc and todo are flat slabs of
+	// rows as wide as include: desc has one row per event, desc[f]
+	// being the events of include that have f as a predecessor (rebuilt
+	// by every query), and todo one row per depth, the candidates rec
+	// has yet to visit there.
+	done       porder.Bitset
+	desc, todo porder.Bitset
+	seq        []int
 }
 
 type stepVal struct {
@@ -325,10 +334,39 @@ func (ls *linSearcher) findLinInto(dst []int, include, visible porder.Bitset, pr
 	ls.memo.reset()
 	ls.include, ls.visible, ls.preds = include, visible, preds
 	ls.total = include.Count()
-	if len(ls.done)*64 < n {
-		ls.done = porder.NewBitset(n)
+	words := len(include)
+	if len(ls.desc) < n*words {
+		// A searcher whose owner cut no scratch rows gets them in one
+		// allocation on its first query.
+		slab := make(porder.Bitset, (2*n+1)*words)
+		ls.done, ls.desc, ls.todo = slab[:words], slab[words:(n+1)*words], slab[(n+1)*words:]
 	} else {
 		ls.done.ClearAll()
+	}
+	// desc = the transpose of preds ∩ include, over the rows from
+	// include's first event to its last.
+	lo, hi := n, 0
+	for wi, w := range include {
+		if w != 0 {
+			lo = min(lo, wi*64+bits.TrailingZeros64(w))
+			hi = wi*64 + 63 - bits.LeadingZeros64(w)
+		}
+	}
+	if lo <= hi {
+		clear(ls.desc[lo*words : (hi+1)*words])
+	}
+	desc := ls.desc
+	for wi, w := range include {
+		for ; w != 0; w &= w - 1 {
+			e := wi*64 + bits.TrailingZeros64(w)
+			bit := uint64(1) << (uint(e) % 64)
+			p := preds[e]
+			for pi := range min(len(p), words) {
+				for pw := p[pi] & include[pi]; pw != 0; pw &= pw - 1 {
+					desc[(pi*64+bits.TrailingZeros64(pw))*words+wi] |= bit
+				}
+			}
+		}
 	}
 	ls.seq = ls.seq[:0]
 	if ls.rec(ls.initState(), 0) {
@@ -339,8 +377,13 @@ func (ls *linSearcher) findLinInto(dst []int, include, visible porder.Bitset, pr
 
 // rec extends the partial linearization by one event and recurses.
 // Within one call done is the same at every candidate (each failed
-// branch undoes its own changes), so the candidates of a word can be
-// taken from include &^ done once.
+// branch undoes its own changes), so the candidates are the depth's
+// todo row, include &^ done, walked in id order. A visited event stays
+// unplaced at this node whether or not it is tried, so none of its
+// descendants can be ready here: visiting e strikes desc[e] from the
+// row, and those events are skipped without a predecessor test they
+// would have failed. The order in which candidates are tried is that
+// of the plain scan.
 func (ls *linSearcher) rec(q spec.State, placed int) bool {
 	if placed == ls.total {
 		return true
@@ -354,9 +397,18 @@ func (ls *linSearcher) rec(q spec.State, placed int) bool {
 	if _, failed := ls.memo.get(key); failed {
 		return false
 	}
-	for wi, w := range ls.include {
-		for w &^= ls.done[wi]; w != 0; w &= w - 1 {
-			e := wi*64 + bits.TrailingZeros64(w)
+	words := len(ls.include)
+	todo := ls.todo[placed*words : (placed+1)*words]
+	for wi := range todo {
+		todo[wi] = ls.include[wi] &^ ls.done[wi]
+	}
+	for wi := range todo {
+		for todo[wi] != 0 {
+			e := wi*64 + bits.TrailingZeros64(todo[wi])
+			todo[wi] &= todo[wi] - 1
+			for j, d := range ls.desc[e*words+wi : (e+1)*words] {
+				todo[wi+j] &^= d
+			}
 			if !ls.preds[e].SubsetOfWithin(ls.done, ls.include) {
 				continue
 			}

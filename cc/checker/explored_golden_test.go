@@ -3,6 +3,8 @@ package checker_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -46,13 +48,13 @@ func counterWindow(procs, total int) *histories.History {
 // one, shows up as a changed count even when every verdict survives.
 func TestExploredGolden(t *testing.T) {
 	want := map[string]int64{
-		"fig3/3h/CC":      26203,
-		"fig3/3i/CC":      26332,
+		"fig3/3h/CC":      16830,
+		"fig3/3i/CC":      21302,
 		"window/s4x40/CC": 10333, "window/s4x40/CCv": 134,
-		"window/s6x40/CC": 41698, "window/s6x40/CCv": 206,
+		"window/s6x40/CC": 35670, "window/s6x40/CCv": 200,
 		"window/s4x48/CC": 20220, "window/s4x48/CCv": 161,
 	}
-	const wantTotal = 125923
+	const wantTotal = 105462
 
 	ctx := context.Background()
 	var total int64
@@ -89,5 +91,58 @@ func TestExploredGolden(t *testing.T) {
 	}
 	if total != wantTotal {
 		t.Errorf("corpus explored %d nodes in total, want %d", total, wantTotal)
+	}
+}
+
+// TestWindow2Sess40 checks a real 40-op write.http monitor window
+// (testdata/histories/window-2sess-40.txt) under CC and CCv, pruned
+// and unpruned, within a 10⁶-node budget. Its commits see long chains
+// of candidate updates; enumerating every visibility subset instead
+// of one per distinct past exhausts the budget in all four searches.
+func TestWindow2Sess40(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "histories", "window-2sess-40.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := histories.Parse(string(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, crit := range []string{"CC", "CCv"} {
+		for _, pruned := range []bool{true, false} {
+			res, err := checker.Check(context.Background(), crit, h,
+				checker.WithBudget(1_000_000), checker.WithPruning(pruned), checker.WithParallelism(1))
+			if err != nil || !res.Satisfied {
+				t.Errorf("%s pruned=%v: satisfied=%v exhausted=%q err=%v after %d nodes",
+					crit, pruned, res.Satisfied, res.Exhausted, err, res.Explored)
+				continue
+			}
+			t.Logf("%s pruned=%v: %d nodes", crit, pruned, res.Explored)
+		}
+	}
+}
+
+// TestAntichainChainFamily: p0 performs k increments, a chain in
+// program order, and p1 reads k+1, which no criterion can explain.
+// Every commit of the read has the increments committed so far as
+// candidates, and those candidates form a chain, so they give only
+// j+1 distinct pasts, not 2^j. Each search must be decided within
+// c·k² nodes; a walk over all 2^k visibility subsets cannot finish
+// at k = 32.
+func TestAntichainChainFamily(t *testing.T) {
+	const c = 16
+	for k := 4; k <= 32; k++ {
+		h := histories.MustParse(fmt.Sprintf("adt: Counter\np0:%s\np1: get/%d\n",
+			strings.Repeat(" inc", k), k+1))
+		for _, crit := range []string{"WCC", "CC", "CCv"} {
+			for _, pruned := range []bool{true, false} {
+				res, err := checker.Check(context.Background(), crit, h,
+					checker.WithBudget(c*k*k), checker.WithPruning(pruned), checker.WithParallelism(1))
+				if err != nil || res.Satisfied {
+					t.Errorf("k=%d %s pruned=%v: satisfied=%v exhausted=%q err=%v after %d nodes, want unsatisfied within %d",
+						k, crit, pruned, res.Satisfied, res.Exhausted, err, res.Explored, c*k*k)
+				}
+			}
+		}
 	}
 }

@@ -25,11 +25,11 @@ import (
 // what keeps its enumeration order — and therefore its verdicts —
 // identical to the sequential engine's.
 
-// maxSubsetCands bounds the width of one commit's visibility-subset
-// enumeration. Enumeration is lazy over uint64 masks, so the bound is
-// the word width (with margin for Gosper's carry), not a memory cap —
-// a search that wide is hopeless anyway and surfaces as ErrBudget.
-const maxSubsetCands = 62
+// maxSubsetCands bounds the number of candidate updates one commit's
+// visibility enumeration handles: antichains are enumerated as uint64
+// masks over the candidates, so the bound is the word width, not a
+// memory cap. A commit wider than that surfaces as ErrBudget.
+const maxSubsetCands = 64
 
 // eagerFrameLimit bounds the history size for which the per-depth int
 // scratch (candidate lists, witness buffers — O(n²) ints in total) is
@@ -39,15 +39,19 @@ const eagerFrameLimit = 256
 
 // csFrame is the per-depth scratch of tryCommit: the forced visibility
 // set, the candidate past under construction, the candidate update
-// list and the subset currently tried. Depth d commits at most one
-// event at a time, so one frame per depth suffices; pasts[e] of a
-// committed event aliases its frame's past buffer until uncommit.
+// list, the comparability masks over it and the antichain currently
+// tried. Depth d commits at most one event at a time, so one frame per
+// depth suffices; pasts[e] of a committed event aliases its frame's
+// past buffer until uncommit.
 type csFrame struct {
 	forced porder.Bitset
 	past   porder.Bitset
 	cand   []int
-	x      []int
-	lin    []int // witness linearization buffer for the event committed here
+	// comp[i] has bit j (j < i) set when cand[i] and cand[j] are
+	// comparable, one in the other's past.
+	comp []uint64
+	x    []int
+	lin  []int // witness linearization buffer for the event committed here
 }
 
 type causalSearcher struct {
@@ -139,17 +143,27 @@ func newCausalSearcher(h *history.History, kind causalKind, maxNodes int, prune 
 	// one for every scratch int slice. This keeps construction at a
 	// handful of allocations regardless of history size. The int slab
 	// is quadratic in n, so beyond eagerFrameLimit events the frames'
-	// int buffers start nil instead and grow on first use at each
-	// depth (append-amortized) — exact checking at that scale is only
-	// feasible for trivially-satisfiable histories anyway, and an
-	// upfront O(n²) allocation would dwarf the search's real footprint.
+	// int buffers and comparability masks start nil instead and grow on
+	// first use at each depth (append-amortized) — exact checking at
+	// that scale is only feasible for trivially-satisfiable histories
+	// anyway, and an upfront O(n²) allocation would dwarf the search's
+	// real footprint.
 	words := (n + 63) / 64
-	bitSlab := make(porder.Bitset, (4*n+4)*words+n)
-	cut := func(k int) porder.Bitset {
-		b := bitSlab[: k*words : k*words]
-		bitSlab = bitSlab[k*words:]
+	// Depth d has at most d candidates, all of them updates.
+	maxCands := min(cs.updates.Count(), maxSubsetCands)
+	compWords := 0
+	if n <= eagerFrameLimit {
+		for i := range n {
+			compWords += min(i, maxCands)
+		}
+	}
+	bitSlab := make(porder.Bitset, (4*n+4)*words+compWords+n)
+	cutWords := func(k int) porder.Bitset {
+		b := bitSlab[:k:k]
+		bitSlab = bitSlab[k:]
 		return b
 	}
+	cut := func(k int) porder.Bitset { return cutWords(k * words) }
 	cs.committed = cut(1)
 	cs.include = cut(1)
 	cs.visible = cut(1)
@@ -158,6 +172,9 @@ func newCausalSearcher(h *history.History, kind causalKind, maxNodes int, prune 
 	cs.ls.todo = cut(n)
 	for i := range cs.frames {
 		cs.frames[i] = csFrame{forced: cut(1), past: cut(1)}
+		if n <= eagerFrameLimit {
+			cs.frames[i].comp = cutWords(min(i, maxCands))
+		}
 	}
 	cs.hashStack = []uint64(bitSlab[:0:n]) // remaining slab words back the hash stack
 	if n <= eagerFrameLimit {
@@ -302,46 +319,82 @@ func (cs *causalSearcher) tryCommit(e int) bool {
 		return cs.commitWith(e, fr, fr.cand)
 	}
 
-	// Enumerate subsets of the candidates lazily, smallest first:
-	// minimal visibility is most often sufficient and keeps later
-	// events freer. Within each popcount class, Gosper's hack yields
-	// the masks in increasing numeric order, so the enumeration order
-	// is identical to the materialized popcount-sorted enumeration it
-	// replaces — without the 2^k mask slice.
+	// Two visibility subsets give the same past exactly when they have
+	// the same maximal elements under "in the past of", so only the
+	// antichains of the candidates are tried, one per distinct past.
+	// They go smallest first — minimal visibility is most often
+	// sufficient and keeps later events freer — and by increasing mask
+	// within a size. That is the (popcount, mask) order of all subsets
+	// with every subset dropped whose past an earlier one (its antichain
+	// of maximal elements) already gave. No antichain of some size means
+	// none of any larger size.
 	k := len(fr.cand)
 	if k > maxSubsetCands {
 		// Unrealistically wide; treat as budget exhaustion.
 		cs.exhaust()
 		return false
 	}
-	limit := uint64(1) << k
 	for c := 0; c <= k; c++ {
-		m := uint64(1)<<c - 1 // smallest mask with popcount c
-		for {
-			*cs.budget--
-			if *cs.budget < 0 && !cs.feed.refill() {
-				return false
+		if c == 2 {
+			// Sizes 0 and 1 are always antichains; larger ones need the
+			// comparability masks, tested in both directions.
+			fr.comp = fr.comp[:0]
+			for i, u := range fr.cand {
+				var m uint64
+				for j, v := range fr.cand[:i] {
+					if cs.pasts[u].Has(v) || cs.pasts[v].Has(u) {
+						m |= 1 << j
+					}
+				}
+				fr.comp = append(fr.comp, m)
 			}
-			fr.x = fr.x[:0]
-			for mm := m; mm != 0; mm &= mm - 1 {
-				fr.x = append(fr.x, fr.cand[bits.TrailingZeros64(mm)])
-			}
-			if cs.commitWith(e, fr, fr.x) {
-				return true
-			}
-			if m == 0 {
-				break
-			}
-			// Gosper's hack: next mask with the same popcount.
-			u := m & -m
-			w := m + u
-			m = w | (((m ^ w) / u) >> 2)
-			if m >= limit {
-				break
-			}
+		}
+		ok, tried := cs.antichains(e, fr, 1<<k-1, c, 0)
+		if ok {
+			return true
+		}
+		if !tried || *cs.budget < 0 {
+			return false
 		}
 	}
 	return false
+}
+
+// antichains tries, in increasing mask order, every antichain made of
+// the chosen candidates acc plus c more from avail (masks over
+// fr.cand; every member of acc lies above avail and is incomparable
+// with it). It is a colex recursion: take the highest new element
+// first, then drop the candidates comparable with it. Each antichain
+// is charged one node. It reports whether a commit succeeded and
+// whether any antichain was tried.
+func (cs *causalSearcher) antichains(e int, fr *csFrame, avail uint64, c int, acc uint64) (ok, tried bool) {
+	if c == 0 {
+		*cs.budget--
+		if *cs.budget < 0 && !cs.feed.refill() {
+			return false, true
+		}
+		fr.x = fr.x[:0]
+		for m := acc; m != 0; m &= m - 1 {
+			fr.x = append(fr.x, fr.cand[bits.TrailingZeros64(m)])
+		}
+		return cs.commitWith(e, fr, fr.x), true
+	}
+	for a := avail; a != 0; a &= a - 1 {
+		h := bits.TrailingZeros64(a)
+		var below uint64
+		if c > 1 {
+			below = avail & (1<<h - 1) &^ fr.comp[h]
+			if bits.OnesCount64(below) < c-1 {
+				continue
+			}
+		}
+		ok, got := cs.antichains(e, fr, below, c-1, acc|1<<h)
+		tried = tried || got
+		if ok || *cs.budget < 0 {
+			return ok, tried
+		}
+	}
+	return false, tried
 }
 
 // commitWith builds e's past from the forced set plus the chosen extra

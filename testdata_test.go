@@ -22,6 +22,7 @@ func TestSampleHistoryFiles(t *testing.T) {
 		{"fig3d.txt", map[check.Criterion]bool{check.CritSC: true}},
 		{"fig3f.txt", map[check.Criterion]bool{check.CritCC: true, check.CritSC: false}},
 		{"mini3c.txt", map[check.Criterion]bool{check.CritCC: true, check.CritCCv: false}},
+		{"window-2sess-40.txt", map[check.Criterion]bool{check.CritCC: true, check.CritCCv: true}},
 	}
 	for _, tc := range cases {
 		data, err := os.ReadFile(filepath.Join("testdata", "histories", tc.file))

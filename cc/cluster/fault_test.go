@@ -206,6 +206,20 @@ func TestMonitorStreamDropped(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Pace on the monitor, not on the flush wait: the next object's
+		// window goes in only once this one is submitted and checked,
+		// so the window queue never overflows and every verdict reaches
+		// the (full) subscriber channel.
+		deadline := time.Now().Add(10 * time.Second)
+		for sum := c.Monitor().Summary(); sum.WindowsSubmitted <= i || sum.Verdicts != sum.WindowsSubmitted; sum = c.Monitor().Summary() {
+			if time.Now().After(deadline) {
+				t.Fatalf("object %d: %d windows submitted, %d verdicts", i, sum.WindowsSubmitted, sum.Verdicts)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if sum := c.Monitor().Summary(); sum.WindowsDropped != 0 {
+		t.Fatalf("%d windows dropped with the monitor paced", sum.WindowsDropped)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for c.Monitor().Summary().StreamDropped == 0 {

@@ -145,6 +145,38 @@ func TestInsertGrowMintsObjects(t *testing.T) {
 	}
 }
 
+// TestInsertGrowCreatesMintedKeys: an update or read may pick a key
+// another worker minted but has not created yet, so every op on a key
+// outside the initial population must carry Create. Checked over the
+// golden stream (2 workers, seed 1, 8 objects).
+func TestInsertGrowCreatesMintedKeys(t *testing.T) {
+	w, err := NewScenario("insert-grow", 8, RunConfig{Workers: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := make(map[string]bool)
+	for _, o := range w.Objects() {
+		initial[o.Name] = true
+	}
+	minted := 0
+	for id := 0; id < 2; id++ {
+		wk := w.NewWorker(id, rand.New(rand.NewSource(1+int64(id))))
+		for step := 0; step < 64; step++ {
+			op := wk.NextOp(step)
+			if initial[op.Object] {
+				continue
+			}
+			minted++
+			if !op.Create {
+				t.Errorf("worker %d step %d: %s on minted key %s without Create", id, step, op.Kind, op.Object)
+			}
+		}
+	}
+	if minted == 0 {
+		t.Fatal("golden stream never touched a minted key")
+	}
+}
+
 // Registry behavior: unknown lookups fail with the catalog, names are
 // sorted, duplicates are rejected, and Lookup hands out fresh
 // instances (two runs must not share Init state).

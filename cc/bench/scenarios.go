@@ -310,12 +310,16 @@ func (wk *insertGrowWorker) NextOp(step int) Op {
 		n := wk.w.count.Add(1) - 1
 		op.Object, op.Create = growName(n), true
 		op.Input = newInput("w", step+1)
-	case "update":
-		op.Object = growName(int64(wk.pick(int(wk.w.count.Load()))))
-		op.Input = newInput("w", step+1)
 	default:
-		op.Object = growName(int64(wk.pick(int(wk.w.count.Load()))))
+		// A key past the initial population may have been minted by
+		// another worker whose create has not landed yet: carry Create
+		// too (creation is idempotent) so the op cannot miss its object.
+		n := wk.pick(int(wk.w.count.Load()))
+		op.Object, op.Create = growName(int64(n)), n >= len(wk.w.objs)
 		op.Input = newInput("r")
+		if kind.Kind == "update" {
+			op.Input = newInput("w", step+1)
+		}
 	}
 	return op
 }

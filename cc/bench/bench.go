@@ -20,12 +20,13 @@
 //	worker := w.NewWorker(0, rng)
 //	op := worker.NextOp(step) // {Object, Input, Update, Kind}
 //
-// Five scenarios are built in: read-heavy (cache reads over
+// Six scenarios are built in: read-heavy (cache reads over
 // Register/GSet, zipf), write-heavy (a counter fleet, uniform),
 // session-cart (per-session carts whose reads depend on the
 // session's own writes, plus a shared catalog), insert-grow (a
-// growing keyspace with inserts and latest-skewed reads), and
-// scan-range (scan/range ops on Sequence and GSet).
+// growing keyspace with inserts and latest-skewed reads), scan-range
+// (scan/range ops on Sequence and GSet), and mixed (six ADTs through
+// the engine's per-ADT generators, the load tools' default).
 //
 // # Open-loop driving
 //
@@ -35,7 +36,8 @@
 // recorded twice: from the intended arrival time (the number that
 // includes queueing delay and survives stalls) and from the actual
 // invocation (naive stopwatch service time). Rate 0 degrades to the
-// classic closed loop, where the two clocks coincide.
+// classic closed loop, where the two clocks coincide; Inflight > 1
+// pipelines it through an AsyncExecutor.
 //
 // # Finding the knee
 //

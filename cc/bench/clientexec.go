@@ -81,3 +81,20 @@ func (e *ClientExecutor) Do(ctx context.Context, worker int, op Op) error {
 	_, err := e.session(worker).Invoke(ctx, op.Object, op.Input)
 	return err
 }
+
+// DoAsync issues one generated op on the worker's session without
+// waiting for it; the returned wait resolves it. A Create op creates
+// its object first, synchronously: the invocation must not overtake
+// the create, and the issue path has no context of its own.
+func (e *ClientExecutor) DoAsync(worker int, op Op) func(context.Context) error {
+	if op.Create {
+		if err := e.create(context.Background(), op.Object, op.ADT); err != nil {
+			return func(context.Context) error { return err }
+		}
+	}
+	fut := e.session(worker).InvokeAsync(op.Object, op.Input)
+	return func(ctx context.Context) error {
+		_, err := fut.Get(ctx)
+		return err
+	}
+}

@@ -33,6 +33,14 @@ type Executor interface {
 	Do(ctx context.Context, worker int, op Op) error
 }
 
+// AsyncExecutor is an Executor that can also issue an op without
+// waiting for it: DoAsync starts the op on the worker's session and
+// returns the wait that resolves it. Run needs one for Inflight > 1.
+type AsyncExecutor interface {
+	Executor
+	DoAsync(worker int, op Op) func(context.Context) error
+}
+
 // RunConfig parameterizes one measured load run.
 type RunConfig struct {
 	// Workers is the number of concurrent generator routines (one
@@ -51,6 +59,11 @@ type RunConfig struct {
 	Duration time.Duration
 	// Seed drives the workload and the arrival clocks.
 	Seed int64
+	// Inflight > 1 pipelines the closed loop: each worker keeps up to
+	// Inflight ops outstanding through the executor's DoAsync and, when
+	// the pipeline is full, waits for the oldest. It needs Rate 0 and
+	// an AsyncExecutor. <= 1 issues one op at a time.
+	Inflight int
 }
 
 func (c *RunConfig) fill() {
@@ -119,10 +132,21 @@ func (r *Report) Result() LoadResult {
 // measured from its *intended* arrival, so when the service stalls,
 // the ops that should have started during the stall are charged their
 // queueing delay instead of being silently omitted. With cfg.Rate ==
-// 0 it is the classic closed loop. Errors from Do are counted, not
-// fatal; ctx cancellation ends the run early.
+// 0 it is the classic closed loop, pipelined when cfg.Inflight > 1.
+// Errors from Do are counted, not fatal; ctx cancellation ends the run
+// early.
 func Run(ctx context.Context, w Workload, exec Executor, cfg RunConfig) (*Report, error) {
 	cfg.fill()
+	var async AsyncExecutor
+	if cfg.Inflight > 1 {
+		if cfg.Rate > 0 {
+			return nil, fmt.Errorf("bench: Inflight %d pipelines a closed loop; Rate must be 0", cfg.Inflight)
+		}
+		var ok bool
+		if async, ok = exec.(AsyncExecutor); !ok {
+			return nil, fmt.Errorf("bench: Inflight %d needs an AsyncExecutor", cfg.Inflight)
+		}
+	}
 	if err := exec.Setup(ctx, w.Objects()); err != nil {
 		return nil, fmt.Errorf("bench: setup: %w", err)
 	}
@@ -140,10 +164,6 @@ func Run(ctx context.Context, w Workload, exec Executor, cfg RunConfig) (*Report
 		rep.Mode, rep.Arrival = "closed", ""
 	}
 
-	type workerTally struct {
-		ops, errs int64
-		mix       map[string]int64
-	}
 	tallies := make([]workerTally, cfg.Workers)
 	perWorker := cfg.Rate / float64(cfg.Workers)
 
@@ -161,6 +181,10 @@ func Run(ctx context.Context, w Workload, exec Executor, cfg RunConfig) (*Report
 			worker := w.NewWorker(id, opRNG)
 			t := &tallies[id]
 			t.mix = make(map[string]int64)
+			if async != nil {
+				pipeline(ctx, async, worker, id, cfg.Inflight, deadline, rep, t)
+				return
+			}
 
 			// Stagger workers across one period so the aggregate
 			// arrival stream is smooth from the start.
@@ -232,6 +256,48 @@ func Run(ctx context.Context, w Workload, exec Executor, cfg RunConfig) (*Report
 		}
 	}
 	return rep, ctx.Err()
+}
+
+// workerTally is one Run worker's count of ops, errors and op kinds.
+type workerTally struct {
+	ops, errs int64
+	mix       map[string]int64
+}
+
+// pipeline is a Run worker's closed loop for Inflight > 1: it keeps up
+// to inflight ops outstanding and, when the pipeline is full, waits for
+// the oldest. An op's latency runs from its issue to its wait's return,
+// and errors count in Ops.
+func pipeline(ctx context.Context, exec AsyncExecutor, worker Worker, id, inflight int, deadline time.Time, rep *Report, t *workerTally) {
+	type pending struct {
+		wait func(context.Context) error
+		t0   time.Time
+		kind string
+	}
+	var window []pending
+	resolve := func(p pending) {
+		err := p.wait(ctx)
+		d := time.Since(p.t0)
+		rep.Service.RecordDuration(d)
+		rep.Intended.RecordDuration(d)
+		t.ops++
+		t.mix[p.kind]++
+		if err != nil {
+			t.errs++
+		}
+	}
+	for step := 0; time.Now().Before(deadline) && ctx.Err() == nil; step++ {
+		if len(window) == inflight {
+			resolve(window[0])
+			window = window[1:]
+		}
+		op := worker.NextOp(step)
+		t0 := time.Now()
+		window = append(window, pending{wait: exec.DoAsync(id, op), t0: t0, kind: op.Kind})
+	}
+	for _, p := range window {
+		resolve(p)
+	}
 }
 
 // arrivalGap draws one inter-arrival gap for a single worker's clock.

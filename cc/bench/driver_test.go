@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,5 +143,84 @@ func TestRunCountsErrors(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), stubWorkload{}, &failExecutor{setupErr: errors.New("no")}, RunConfig{}); err == nil {
 		t.Fatal("Setup error was not fatal")
+	}
+}
+
+// gateExecutor is an AsyncExecutor whose waits block until the first
+// worker fills its pipeline; from then on every wait returns at once.
+// Every third op fails.
+type gateExecutor struct {
+	stallExecutor
+	limit    int
+	once     sync.Once
+	release  chan struct{}
+	mu       sync.Mutex
+	out      map[int]int // outstanding ops per worker
+	max      int
+	issued   int64
+	resolved int64
+	failed   int64
+}
+
+func (e *gateExecutor) DoAsync(worker int, op Op) func(context.Context) error {
+	e.mu.Lock()
+	e.issued++
+	fail := e.issued%3 == 0
+	e.out[worker]++
+	if e.out[worker] > e.max {
+		e.max = e.out[worker]
+	}
+	if e.out[worker] == e.limit {
+		e.once.Do(func() { close(e.release) })
+	}
+	e.mu.Unlock()
+	return func(ctx context.Context) error {
+		select {
+		case <-e.release:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.out[worker]--
+		e.resolved++
+		if fail {
+			e.failed++
+			return errors.New("boom")
+		}
+		return nil
+	}
+}
+
+// TestRunInflight: the pipelined closed loop keeps at most Inflight
+// ops outstanding per worker and reaches that limit, every resolved
+// op (failed ones too) counts in Ops, and Inflight refuses an open
+// loop and an executor without DoAsync.
+func TestRunInflight(t *testing.T) {
+	const inflight = 4
+	exec := &gateExecutor{limit: inflight, release: make(chan struct{}), out: make(map[int]int)}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rep, err := Run(ctx, stubWorkload{}, exec, RunConfig{
+		Workers: 2, Duration: 50 * time.Millisecond, Inflight: inflight,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exec.max != inflight {
+		t.Errorf("max outstanding per worker = %d, want exactly %d", exec.max, inflight)
+	}
+	if rep.Ops != exec.resolved || rep.Ops != exec.issued || rep.Errors != exec.failed {
+		t.Errorf("ops=%d errors=%d, executor issued %d resolved %d failed %d",
+			rep.Ops, rep.Errors, exec.issued, exec.resolved, exec.failed)
+	}
+	if rep.Mode != "closed" || rep.Intended.Count() != rep.Ops || rep.Mix["read"] != 1 {
+		t.Errorf("mode=%s intended=%d mix=%v", rep.Mode, rep.Intended.Count(), rep.Mix)
+	}
+	if _, err := Run(ctx, stubWorkload{}, exec, RunConfig{Rate: 100, Inflight: inflight}); err == nil {
+		t.Error("Inflight with Rate > 0 was accepted")
+	}
+	if _, err := Run(ctx, stubWorkload{}, &stallExecutor{}, RunConfig{Inflight: inflight}); err == nil {
+		t.Error("Inflight with an executor lacking DoAsync was accepted")
 	}
 }

@@ -188,7 +188,7 @@ func TestScenarioRegistry(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("Names() not sorted: %v", names)
 	}
-	for _, want := range []string{"read-heavy", "write-heavy", "session-cart", "insert-grow", "scan-range"} {
+	for _, want := range []string{"read-heavy", "write-heavy", "session-cart", "insert-grow", "scan-range", "mixed"} {
 		found := false
 		for _, n := range names {
 			if n == want {

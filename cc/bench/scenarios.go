@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sync/atomic"
+
+	"github.com/paper-repro/ccbm/cc"
+	"github.com/paper-repro/ccbm/internal/workload"
 )
 
 // The built-in scenarios. Each declares its shape in Profile() —
@@ -16,6 +19,7 @@ func init() {
 	MustRegister(func() Workload { return &sessionCart{} })
 	MustRegister(func() Workload { return &insertGrow{} })
 	MustRegister(func() Workload { return &scanRange{} })
+	MustRegister(func() Workload { return &mixed{} })
 }
 
 // pickKind draws one mix entry with a single uniform variate.
@@ -421,6 +425,80 @@ func (wk *scanRangeWorker) NextOp(step int) Op {
 			op.Object, op.ADT = o.Name, o.ADT
 			op.Input = newInput("elems")
 		}
+	}
+	return op
+}
+
+// ---------------------------------------------------------------- //
+
+// mixedADTs is the mixed population: one exact-checkable type per
+// family (commutative, register, sets, window'd queue, stack).
+var mixedADTs = []string{"Counter", "Register", "GSet", "RWSet", "Queue2", "Stack"}
+
+// mixed is the general-purpose default of ccload and ccchaos: the six
+// mixedADTs cycled by object index, zipf-popular, 30% updates drawn by
+// the engine's own per-ADT generators. Kind says whether the ADT
+// classifies the drawn input as an update.
+type mixed struct {
+	objs  []ObjectSpec
+	types []cc.ADT
+	gens  []workload.OpGen
+}
+
+func (w *mixed) Name() string { return "mixed" }
+func (w *mixed) Doc() string {
+	return "mixed ADTs: Counter/Register/GSet/RWSet/Queue2/Stack, zipf, 30% updates"
+}
+
+func (w *mixed) Profile() Profile {
+	return Profile{
+		ADTs: mixedADTs,
+		Dist: KeyZipf, Skew: 1.1,
+		Mix: []MixEntry{
+			{Kind: "read", Fraction: 0.70},
+			{Kind: "write", Fraction: 0.30, Update: true},
+		},
+	}
+}
+
+func (w *mixed) Init(cfg Config) error {
+	cfg.fill()
+	w.objs = make([]ObjectSpec, cfg.Objects)
+	w.types = make([]cc.ADT, cfg.Objects)
+	w.gens = make([]workload.OpGen, cfg.Objects)
+	for i := range w.objs {
+		name := mixedADTs[i%len(mixedADTs)]
+		t, err := cc.LookupADT(name)
+		if err != nil {
+			return err
+		}
+		if w.gens[i], err = workload.GeneratorFor(t, 0.30); err != nil {
+			return err
+		}
+		w.objs[i] = ObjectSpec{Name: fmt.Sprintf("obj-%03d", i), ADT: name}
+		w.types[i] = t
+	}
+	return nil
+}
+
+func (w *mixed) Objects() []ObjectSpec { return w.objs }
+
+func (w *mixed) NewWorker(id int, rng *rand.Rand) Worker {
+	return &mixedWorker{w: w, rng: rng, pick: NewChooser(KeyZipf, 1.1, rng)}
+}
+
+type mixedWorker struct {
+	w    *mixed
+	rng  *rand.Rand
+	pick Chooser
+}
+
+func (wk *mixedWorker) NextOp(step int) Op {
+	i := wk.pick(len(wk.w.objs))
+	obj := wk.w.objs[i]
+	op := Op{Object: obj.Name, ADT: obj.ADT, Input: wk.w.gens[i](wk.rng, step), Kind: "read"}
+	if wk.w.types[i].IsUpdate(op.Input) {
+		op.Update, op.Kind = true, "write"
 	}
 	return op
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"github.com/paper-repro/ccbm/cc"
-	"github.com/paper-repro/ccbm/internal/workload"
 )
 
 // ObjectSpec names one object a workload needs, with its registry ADT.
@@ -125,7 +124,7 @@ var scenarios = struct {
 // Register adds a workload factory to the scenario registry under the
 // name (and doc) of the instance it produces. It fails on an empty
 // name or a duplicate; the built-ins claim read-heavy, write-heavy,
-// session-cart, insert-grow and scan-range.
+// session-cart, insert-grow, scan-range and mixed.
 func Register(make func() Workload) error {
 	w := make()
 	name := w.Name()
@@ -187,22 +186,3 @@ func Scenarios() []ScenarioInfo {
 
 // newInput is cc.NewInput, shortened for the scenario op tables.
 func newInput(method string, args ...int) cc.Input { return cc.NewInput(method, args...) }
-
-// OpGen produces a random invocation for one ADT; step is a monotone
-// counter generators use to keep written values distinct. It is the
-// engine's own generator type (internal/workload), re-exported so the
-// load tools share one implementation.
-type OpGen = workload.OpGen
-
-// GeneratorFor returns the standard per-ADT operation generator for a
-// registry ADT name ("Counter", "Register", "W2^4", ...). writeRatio
-// is the probability of an update, realized exactly with one uniform
-// draw per op; Queue is the documented exception (push and pop are
-// both updates — the ratio biases producing vs consuming).
-func GeneratorFor(adtName string, writeRatio float64) (OpGen, error) {
-	t, err := cc.LookupADT(adtName)
-	if err != nil {
-		return nil, err
-	}
-	return workload.GeneratorFor(t, writeRatio)
-}

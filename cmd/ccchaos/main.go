@@ -1,9 +1,10 @@
 // Command ccchaos is the partition/churn chaos harness: it runs an
 // in-process cluster (loopback transport, so the run is deterministic
-// in shape and free of socket noise), drives mixed-ADT load through
-// self-healing cc/client sessions, injects a scripted fault schedule
-// — partitions, crash-stops, restarts, link degradation — and asserts
-// the paper's promises hold through it:
+// in shape and free of socket noise), drives a cc/bench scenario
+// (-scenario, default mixed) through self-healing cc/client sessions,
+// injects a scripted fault schedule — partitions, crash-stops,
+// restarts, link degradation — and asserts the paper's promises hold
+// through it:
 //
 //   - after every heal/restart, all live replicas of every shard
 //     converge to identical state fingerprints (EC's convergence,
@@ -45,70 +46,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/paper-repro/ccbm/cc"
 	"github.com/paper-repro/ccbm/cc/bench"
 	"github.com/paper-repro/ccbm/cc/client"
 	"github.com/paper-repro/ccbm/cc/cluster"
 	"github.com/paper-repro/ccbm/cc/cluster/wire"
 	"github.com/paper-repro/ccbm/internal/benchrec"
 )
-
-// mixedADTs is the object population: one exact-checkable type per
-// family (commutative, register, sets, window'd queue, stack).
-var mixedADTs = []string{"Counter", "Register", "GSet", "RWSet", "Queue2", "Stack"}
-
-// genInput draws one operation for an ADT; step keeps written values
-// distinct so the checkers stay sharp.
-func genInput(adt string, rng *rand.Rand, step int, w float64) cc.Input {
-	switch adt {
-	case "Counter":
-		switch u := rng.Float64(); {
-		case u < w/2:
-			return cc.NewInput("inc", 1+rng.Intn(3))
-		case u < w:
-			return cc.NewInput("dec", 1)
-		default:
-			return cc.NewInput("get")
-		}
-	case "Register":
-		if rng.Float64() < w {
-			return cc.NewInput("w", step+1)
-		}
-		return cc.NewInput("r")
-	case "GSet":
-		if rng.Float64() < w {
-			return cc.NewInput("add", rng.Intn(8))
-		}
-		return cc.NewInput("has", rng.Intn(8))
-	case "RWSet":
-		switch u := rng.Float64(); {
-		case u < w/3:
-			return cc.NewInput("rem", rng.Intn(8))
-		case u < w:
-			return cc.NewInput("add", rng.Intn(8))
-		default:
-			return cc.NewInput("elems")
-		}
-	case "Queue2":
-		switch u := rng.Float64(); {
-		case u < w/2:
-			return cc.NewInput("push", step+1)
-		case u < w:
-			return cc.NewInput("rh", rng.Intn(step+1))
-		default:
-			return cc.NewInput("hd")
-		}
-	default: // Stack
-		switch u := rng.Float64(); {
-		case u < w/2:
-			return cc.NewInput("push", step+1)
-		case u < w:
-			return cc.NewInput("pop")
-		default:
-			return cc.NewInput("top")
-		}
-	}
-}
 
 // phaseStats accumulates one phase's throughput and latency (every
 // op, in the shared log-bucketed histogram).
@@ -220,9 +163,8 @@ func main() {
 	replication := flag.String("replication", "broadcast", "replication backend: broadcast or antientropy")
 	gossip := flag.Duration("gossip-interval", 5*time.Millisecond, "anti-entropy round interval")
 	clients := flag.Int("clients", 6, "concurrent closed-loop clients (one session each)")
-	objects := flag.Int("objects", 12, "objects across the mixed-ADT population")
-	writeRatio := flag.Float64("write-ratio", 0.4, "update fraction of the generated mix")
-	scenario := flag.String("scenario", "", "drive a named cc/bench workload scenario instead of the ad-hoc mixed population")
+	objects := flag.Int("objects", 12, "base object population of the scenario")
+	scenario := flag.String("scenario", "mixed", "named cc/bench workload scenario that draws every op")
 	seed := flag.Int64("seed", 1, "random seed")
 	scheduleFlag := flag.String("schedule", "", "inline fault schedule (';'-separated events; empty = built-in)")
 	scheduleFile := flag.String("schedule-file", "", "fault schedule file (one event per line)")
@@ -300,45 +242,15 @@ func main() {
 	defer cli.Close()
 
 	ctx := context.Background()
-	// The op source: a named cc/bench scenario (shared with ccload, so
-	// the same declared workload shapes run under faults), or the
-	// ad-hoc mixed-ADT population.
-	var wl bench.Workload
-	if *scenario != "" {
-		wl, err = bench.Lookup(*scenario)
-		if err == nil {
-			err = wl.Init(bench.Config{Objects: *objects, Workers: *clients, Seed: *seed})
-		}
-		if err != nil {
-			fail(err)
-		}
-		for _, o := range wl.Objects() {
-			if err := cli.CreateObject(ctx, o.Name, o.ADT); err != nil {
-				fail(err)
-			}
-		}
+	// Every op comes from a named cc/bench scenario, shared with
+	// ccload, so the same declared workload shapes run under faults.
+	wl, err := bench.NewScenario(*scenario, *objects, bench.RunConfig{Workers: *clients, Seed: *seed})
+	if err != nil {
+		fail(err)
 	}
-	names := make([]string, *objects)
-	for i := range names {
-		names[i] = fmt.Sprintf("obj-%02d", i)
-		if wl != nil {
-			continue // scenario population already created
-		}
-		if err := cli.CreateObject(ctx, names[i], mixedADTs[i%len(mixedADTs)]); err != nil {
+	for _, o := range wl.Objects() {
+		if err := cli.CreateObject(ctx, o.Name, o.ADT); err != nil {
 			fail(err)
-		}
-	}
-	// makeGen builds one client's op stream: a scenario worker, or the
-	// classic uniform draw over the mixed population.
-	makeGen := func(cl int, rng *rand.Rand) func(step int) bench.Op {
-		if wl != nil {
-			w := wl.NewWorker(cl, rng)
-			return w.NextOp
-		}
-		return func(step int) bench.Op {
-			oi := rng.Intn(len(names))
-			adt := mixedADTs[oi%len(mixedADTs)]
-			return bench.Op{Object: names[oi], ADT: adt, Input: genInput(adt, rng, step, *writeRatio)}
 		}
 	}
 	// Learn the ring epoch up front so topology events exercise the
@@ -367,7 +279,7 @@ func main() {
 			defer wg.Done()
 			sess := cli.Session(cl)
 			rng := rand.New(rand.NewSource(*seed*7919 + int64(cl)))
-			gen := makeGen(cl, rng)
+			gen := wl.NewWorker(cl, rng)
 			for step := 0; ; step++ {
 				// Pause barrier: repair events hold the write lock while
 				// they assert convergence, stopping new ops. In-flight
@@ -380,7 +292,7 @@ func main() {
 				if !time.Now().Before(deadline) {
 					return
 				}
-				op := gen(step)
+				op := gen.NextOp(step)
 				inMigr := migrating.Load() > 0
 				inFault := depth.Load() > 0
 				if op.Create {
@@ -569,9 +481,8 @@ func main() {
 			"config": map[string]any{
 				"criterion": *criterion, "replication": c.Replication(),
 				"shards": *shards, "replicas": *replicas, "clients": *clients,
-				"objects": *objects, "write_ratio": *writeRatio,
-				"scenario": *scenario,
-				"batch":    *batch, "selfheal": !*noHeal, "schedule": text,
+				"objects": *objects, "scenario": *scenario,
+				"batch": *batch, "selfheal": !*noHeal, "schedule": text,
 				"storm": *storm, "ring_epoch": c.RingEpoch(),
 			},
 			"steady": map[string]any{

@@ -1,16 +1,17 @@
 package main
 
-// The -scenario mode: drive a named cc/bench workload against the
-// server, open loop (-rate) or closed, optionally ramping the offered
-// rate to find the knee of the throughput/latency curve. Everything —
-// op generation, arrival clocks, histograms, knee detection — comes
-// from cc/bench; this file only wires flags, printing and exit codes.
+// The scenario run: drive a named cc/bench workload against the
+// server, open loop (-rate) or closed (pipelined with -batch),
+// optionally ramping the offered rate to find the knee of the
+// throughput/latency curve. Everything — op generation, arrival
+// clocks, histograms, knee detection — comes from cc/bench; this file
+// only wires printing and exit codes.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -20,164 +21,110 @@ import (
 	"github.com/paper-repro/ccbm/cc/cluster/wire"
 )
 
-// scenarioCfg carries the scenario mode's knobs from main's flags.
-type scenarioCfg struct {
-	addr      string
-	scenario  string
-	workers   int
-	objects   int
-	duration  time.Duration
-	seed      int64
-	rate      float64
-	arrival   bench.Arrival
-	batch     bool
-	batchOps  int
-	batchWait time.Duration
-
-	ramp        bool
-	rampStart   float64
-	rampFactor  float64
-	rampSteps   int
-	rampStepDur time.Duration
-	kneeFloor   float64
-	kneeP99     time.Duration
-	requireKnee bool
-
-	requireVerdicts bool
-	benchOut        string
-	label           string
-}
-
 // runScenario drives the scenario and returns the process exit code.
-func runScenario(cfg scenarioCfg) int {
+func runScenario(cfg *config) int {
 	ctx := context.Background()
-	var opts []client.Option
-	if cfg.batch {
-		opts = append(opts, client.WithBatching(cfg.batchOps, cfg.batchWait))
-	}
-	cli, err := client.New(client.NewHTTPTransport(cfg.addr), opts...)
+	cli, err := cfg.newClient(client.WithReadTarget(cfg.readTarget))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccload:", err)
-		return 2
+		return cfg.fail(err)
 	}
 	defer cli.Close()
-	if err := waitHealthy(cli, 10*time.Second); err != nil {
-		fmt.Fprintln(os.Stderr, "ccload:", err)
-		return 1
-	}
 
-	run := bench.RunConfig{
-		Workers: cfg.workers, Rate: cfg.rate, Arrival: cfg.arrival,
-		Duration: cfg.duration, Seed: cfg.seed,
-	}
+	run := cfg.runConfig()
 	w, err := bench.NewScenario(cfg.scenario, cfg.objects, run)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccload:", err)
-		return 2
+		return cfg.fail(err)
 	}
 	exec := bench.NewClientExecutor(cli, 0)
+	out := cfg.stdout
 
 	var result bench.LoadResult
 	kneeFound := false
 	if cfg.ramp {
-		rc := bench.RampConfig{
-			StartRate: cfg.rampStart, Factor: cfg.rampFactor, Steps: cfg.rampSteps,
-			StepDuration: cfg.rampStepDur, FloorRatio: cfg.kneeFloor, MaxP99: cfg.kneeP99,
-		}
-		fmt.Printf("ccload: scenario %s ramp from %.0f ops/s (x%.2f, %d steps of %v, floor %.2f)\n",
+		rc := cfg.rampCfg
+		fmt.Fprintf(out, "ccload: scenario %s ramp from %.0f ops/s (x%.2f, %d steps of %v, floor %.2f)\n",
 			w.Name(), rc.StartRate, rc.Factor, rc.Steps, rc.StepDuration, rc.FloorRatio)
 		rr, err := bench.Ramp(ctx, w, exec, run, rc)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccload: ramp:", err)
-			return 1
+			return cfg.fail(fmt.Errorf("ramp: %w", err))
 		}
 		for i, st := range rr.Steps {
 			state := "sustained"
 			if !st.Sustained {
 				state = "BROKE"
 			}
-			fmt.Printf("ramp step %d: offered=%.0f achieved=%.0f ops/s p99=%.0fµs errors=%d %s\n",
+			fmt.Fprintf(out, "ramp step %d: offered=%.0f achieved=%.0f ops/s p99=%.0fµs errors=%d %s\n",
 				i, st.OfferedRate, st.AchievedRate, st.P99US, st.Errors, state)
 		}
 		if rr.Knee != nil {
 			kneeFound = true
-			fmt.Printf("knee: %.0f ops/s offered (%.0f achieved, p99=%.0fµs) at step %d — %s\n",
+			fmt.Fprintf(out, "knee: %.0f ops/s offered (%.0f achieved, p99=%.0fµs) at step %d — %s\n",
 				rr.Knee.Rate, rr.Knee.Achieved, rr.Knee.P99US, rr.Knee.Step, rr.Knee.Reason)
 		} else {
-			fmt.Println("knee: none — even the first step was unsustained")
+			fmt.Fprintln(out, "knee: none — even the first step was unsustained")
 		}
 		result = rr.Result()
 	} else {
-		mode := fmt.Sprintf("open loop (%s) offered=%.0f ops/s", cfg.arrival, cfg.rate)
-		if cfg.rate <= 0 {
-			mode = "closed loop"
+		mode := "closed loop"
+		switch {
+		case run.Rate > 0:
+			mode = fmt.Sprintf("open loop (%s) offered=%.0f ops/s", run.Arrival, run.Rate)
+		case run.Inflight > 1:
+			mode = fmt.Sprintf("closed loop, %d in flight per worker", run.Inflight)
 		}
-		fmt.Printf("ccload: scenario %s, %s, %d workers, %v\n", w.Name(), mode, cfg.workers, cfg.duration)
+		fmt.Fprintf(out, "ccload: scenario %s, %s, %d workers, %v, read-target %s\n",
+			w.Name(), mode, cfg.clients, cfg.duration, cfg.readTarget)
 		rep, err := bench.Run(ctx, w, exec, run)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccload: run:", err)
-			return 1
+			return cfg.fail(fmt.Errorf("run: %w", err))
 		}
-		printReport(rep)
+		printReport(out, rep)
 		result = rep.Result()
 	}
 
 	sum, err := cli.MonitorSummary(ctx)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccload: monitor:", err)
+		fmt.Fprintln(cfg.stderr, "ccload: monitor:", err)
 		sum = &wire.MonitorSummary{}
 	}
 	monJSON, _ := json.Marshal(sum)
-	fmt.Printf("monitor %s\n", monJSON)
-
-	if cfg.benchOut != "" {
-		lbl := cfg.label
-		if lbl == "" {
-			lbl = "ccload scenario " + cfg.scenario
-		}
-		n, err := bench.AppendRecord(cfg.benchOut, lbl, map[string]any{
-			"load":    result,
-			"monitor": sum,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccload: bench-out:", err)
-			return 1
-		}
-		fmt.Printf("recorded %s (%d entries)\n", cfg.benchOut, n)
+	fmt.Fprintf(out, "monitor %s\n", monJSON)
+	if err := cfg.record("ccload scenario "+cfg.scenario, map[string]any{"load": result, "monitor": sum}); err != nil {
+		return cfg.fail(err)
 	}
 
 	code := 0
-	if cfg.requireVerdicts && sum.Verdicts == 0 {
-		fmt.Fprintln(os.Stderr, "ccload: monitor produced no verdicts")
+	complain := func(msg string) {
+		fmt.Fprintln(cfg.stderr, "ccload:", msg)
 		code = 1
+	}
+	if cfg.requireVerdicts && sum.Verdicts == 0 {
+		complain("monitor produced no verdicts")
 	}
 	if len(sum.Violations) > 0 {
-		fmt.Fprintf(os.Stderr, "ccload: monitor reported %d violations\n", len(sum.Violations))
-		code = 1
+		complain(fmt.Sprintf("monitor reported %d violations", len(sum.Violations)))
 	}
 	if result.Ops == 0 {
-		fmt.Fprintln(os.Stderr, "ccload: no operation completed")
-		code = 1
+		complain("no operation completed")
 	}
 	if cfg.requireKnee && !kneeFound {
-		fmt.Fprintln(os.Stderr, "ccload: ramp found no sustained step")
-		code = 1
+		complain("ramp found no sustained step")
 	}
 	return code
 }
 
 // printReport prints one Run's outcome: throughput, both latency
 // clocks, and the realized op mix.
-func printReport(rep *bench.Report) {
+func printReport(out io.Writer, rep *bench.Report) {
 	if rep.Offered > 0 {
-		fmt.Printf("ccload: %d ops in %v (%.0f ops/s achieved of %.0f offered), %d errors\n",
+		fmt.Fprintf(out, "ccload: %d ops in %v (%.0f ops/s achieved of %.0f offered), %d errors\n",
 			rep.Ops, rep.Elapsed.Round(time.Millisecond), rep.Achieved, rep.Offered, rep.Errors)
 	} else {
-		fmt.Printf("ccload: %d ops in %v (%.0f ops/s), %d errors\n",
+		fmt.Fprintf(out, "ccload: %d ops in %v (%.0f ops/s), %d errors\n",
 			rep.Ops, rep.Elapsed.Round(time.Millisecond), rep.Achieved, rep.Errors)
 	}
 	printPct := func(name string, p bench.Percentiles) {
-		fmt.Printf("%-8s n=%d mean=%.0f p50=%.0f p95=%.0f p99=%.0f p999=%.0f max=%.0f µs\n",
+		fmt.Fprintf(out, "%-8s n=%d mean=%.0f p50=%.0f p95=%.0f p99=%.0f p999=%.0f max=%.0f µs\n",
 			name, p.Count, p.MeanUS, p.P50US, p.P95US, p.P99US, p.P999US, p.MaxUS)
 	}
 	printPct("intended", rep.Intended.Percentiles())
@@ -186,7 +133,7 @@ func printReport(rep *bench.Report) {
 	for _, kind := range sortedKeys(rep.Mix) {
 		parts = append(parts, fmt.Sprintf("%s=%.3f", kind, rep.Mix[kind]))
 	}
-	fmt.Printf("mix     %s\n", strings.Join(parts, " "))
+	fmt.Fprintf(out, "mix     %s\n", strings.Join(parts, " "))
 }
 
 func sortedKeys(m map[string]float64) []string {

@@ -34,8 +34,9 @@
 //     monitor that streams sampled per-object timed windows back into
 //     the Classifier, so a running cluster continuously spot-checks
 //     the criterion it claims. cmd/ccserved serves it over HTTP and
-//     cmd/ccload load-tests it (BENCH_runtime.json records measured
-//     runs); see the package docs for the exact verdict contract.
+//     cmd/ccload load-tests it with cc/bench scenarios (mixed by
+//     default; BENCH_runtime.json records measured runs); see the
+//     package docs for the exact verdict contract.
 //   - cc/cluster/wire: the versioned wire protocol of the serving
 //     layer — request/response structs, typed error codes with a
 //     pinned HTTP status table, per-request read targets, batch

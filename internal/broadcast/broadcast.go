@@ -178,18 +178,19 @@ func (c *relCore) resync() {
 
 // broadcast stamps, floods and locally delivers a new envelope.
 func (c *relCore) broadcast(vc vclock.VC, payload any) {
-	c.broadcastWith(vc, func() any { return payload })
+	c.broadcastWith(func(int) (vclock.VC, any) { return vc, payload })
 }
 
-// broadcastWith is broadcast with the payload built by mk under the
-// sequence lock, so whatever mk stamps is ordered like the sequence
-// numbers. mk may take its layer's lock: the lock order is relCore.mu
-// before any layer lock, and no layer calls into relCore holding its
-// own.
-func (c *relCore) broadcastWith(vc vclock.VC, mk func() any) {
+// broadcastWith is broadcast with the stamp and payload built by mk
+// from the sequence number, under the sequence lock, so whatever mk
+// stamps is ordered like the sequence numbers. mk may take its layer's
+// lock: the lock order is relCore.mu before any layer lock, and no
+// layer calls into relCore holding its own.
+func (c *relCore) broadcastWith(mk func(seq int) (vclock.VC, any)) {
 	c.mu.Lock()
 	c.seq++
-	env := envelope{ID: msgID{Origin: c.id, Seq: c.seq}, VC: vc, Payload: mk()}
+	vc, payload := mk(c.seq)
+	env := envelope{ID: msgID{Origin: c.id, Seq: c.seq}, VC: vc, Payload: payload}
 	c.seen[env.ID] = true
 	if c.retain {
 		c.log = append(c.log, env)
@@ -325,12 +326,17 @@ func NewCausalVC(t net.Transport, id int, d DeliverVC) *Causal {
 
 // Broadcast implements Broadcaster. The message carries the vector
 // clock it must be delivered at: the broadcaster's delivered-count
-// vector with its own entry incremented.
+// vector with its own entry set to the message's sequence number, both
+// read under the sequence lock, so concurrent broadcasts take distinct
+// stamps even while their local deliveries are pending.
 func (c *Causal) Broadcast(payload any) {
-	c.mu.Lock()
-	stamp := c.vc.Clone().Incr(c.id)
-	c.mu.Unlock()
-	c.core.broadcast(stamp, payload)
+	c.core.broadcastWith(func(seq int) (vclock.VC, any) {
+		c.mu.Lock()
+		stamp := c.vc.Clone()
+		c.mu.Unlock()
+		stamp[c.id] = seq
+		return stamp, payload
+	})
 }
 
 func (c *Causal) onEnv(env envelope) {

@@ -295,3 +295,37 @@ func TestTotalAgreementLive(t *testing.T) {
 		}
 	}
 }
+
+// TestCausalConcurrentBroadcasters: two goroutines broadcasting on one
+// process must never share a causal stamp. A stamp taken outside the
+// sequence lock lets both messages claim the same slot, and the second
+// is never causally ready anywhere, p0 included.
+func TestCausalConcurrentBroadcasters(t *testing.T) {
+	const n, per = 2, 200
+	lv := net.NewLive(n)
+	defer lv.Close()
+	rec := newRecorder(n)
+	var bs []*broadcast.Causal
+	for i := 0; i < n; i++ {
+		bs = append(bs, broadcast.NewCausal(lv, i, rec.deliver(i)))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < per; j++ {
+				bs[0].Broadcast(fmt.Sprintf("g%d-%d", g, j))
+			}
+		}(g)
+	}
+	wg.Wait()
+	lv.Quiesce()
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for p := 0; p < n; p++ {
+		if len(rec.msgs[p]) != 2*per {
+			t.Fatalf("process %d delivered %d, want %d", p, len(rec.msgs[p]), 2*per)
+		}
+	}
+}

@@ -70,10 +70,10 @@ func (tot *Total) Broadcast(payload any) { tot.send(false, payload) }
 // below s, which is what makes lastSeen a stability bound. Lock order:
 // relCore.mu, then Total.mu.
 func (tot *Total) send(ack bool, payload any) {
-	tot.fifo.core.broadcastWith(nil, func() any {
+	tot.fifo.core.broadcastWith(func(int) (vclock.VC, any) {
 		tot.mu.Lock()
 		defer tot.mu.Unlock()
-		return totMsg{TS: vclock.Timestamp{VT: tot.clock.Tick(), PID: tot.id}, Ack: ack, Payload: payload}
+		return nil, totMsg{TS: vclock.Timestamp{VT: tot.clock.Tick(), PID: tot.id}, Ack: ack, Payload: payload}
 	})
 }
 

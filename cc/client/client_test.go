@@ -30,7 +30,6 @@ func newMonitoredCluster(t *testing.T) *cluster.Cluster {
 		Monitor: cluster.MonitorConfig{
 			SampleEvery: 1,
 			WindowOps:   10_000,
-			Timeout:     10 * time.Second,
 		},
 	})
 	if err != nil {
@@ -260,7 +259,7 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 	c, err := cluster.New(cluster.Config{
 		Criterion: "CC",
 		Replicas:  2,
-		Monitor:   cluster.MonitorConfig{SampleEvery: 1, WindowOps: 6, Grace: 20 * time.Millisecond, Timeout: 5 * time.Second},
+		Monitor:   cluster.MonitorConfig{SampleEvery: 1, WindowOps: 6, Grace: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

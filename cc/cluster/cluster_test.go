@@ -28,7 +28,6 @@ func TestClusterServeLoadMonitor(t *testing.T) {
 			SampleEvery: 1, // sample everything: this test is about the monitor
 			WindowOps:   16,
 			Grace:       50 * time.Millisecond,
-			Timeout:     5 * time.Second,
 		},
 	})
 	if err != nil {

@@ -110,7 +110,6 @@ func TestConvergenceAfterPartitionProperty(t *testing.T) {
 				Monitor: cluster.MonitorConfig{
 					SampleEvery: 1,
 					WindowOps:   8,
-					Timeout:     5 * time.Second,
 				},
 			})
 			if err != nil {
@@ -185,7 +184,6 @@ func TestMonitorStreamDropped(t *testing.T) {
 			SampleEvery: 1,
 			WindowOps:   2,
 			Grace:       time.Millisecond,
-			Timeout:     5 * time.Second,
 		},
 	})
 	if err != nil {

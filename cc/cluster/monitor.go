@@ -11,12 +11,14 @@ import (
 )
 
 // DefaultWindowOps is the default size of a sampled object's checked
-// window. The DPOR-style pruned searches (on by default, see NoPrune)
-// keep exact checking tractable at this size; it was 24 when the
-// monitor ran the exhaustive searches.
+// window. The monitor's DPOR-style pruned searches keep exact checking
+// tractable at this size; it was 24 when the monitor ran the
+// exhaustive searches.
 const DefaultWindowOps = 40
 
-// MonitorConfig tunes the online consistency monitor.
+// MonitorConfig tunes the online consistency monitor. The monitor
+// checks exactly the criterion the cluster claims, one window at a
+// time, with the pruned searches; its one limit is a node budget.
 type MonitorConfig struct {
 	// Disable turns the monitor off entirely.
 	Disable bool
@@ -30,21 +32,10 @@ type MonitorConfig struct {
 	// Grace is how long a full window keeps accepting the operations
 	// that were already in flight at its cutoff; default 250ms.
 	Grace time.Duration
-	// Criteria overrides the checked criteria (registered names);
-	// default: exactly the criterion the cluster claims.
-	Criteria []string
-	// Budget bounds each check's search nodes (0 = checker default).
+	// Budget bounds each check's search nodes (0 = checker.DefaultBudget).
+	// A window that needs more is reported exhausted with cause budget,
+	// which depends on the window alone: ccheck -max-nodes reproduces it.
 	Budget int
-	// Timeout bounds each check's wall clock; default 2s.
-	Timeout time.Duration
-	// Workers bounds concurrent checks; default 1 (keep the monitor off
-	// the serving path's cores).
-	Workers int
-	// NoPrune disables the DPOR-style pruners of the exact checkers.
-	// The monitor prunes by default: verdicts are identical to the
-	// exhaustive searches, and the node reduction is what makes
-	// DefaultWindowOps-sized windows affordable online.
-	NoPrune bool
 	// MaxWindowSessions caps the distinct sessions admitted into one
 	// sampled window (default 3; -1 disables the cap). The exact
 	// checkers' cost grows with cross-session interleavings, so a
@@ -59,7 +50,7 @@ type MonitorConfig struct {
 	MaxWindowSessions int
 }
 
-func (m *MonitorConfig) fill(criterion string) {
+func (m *MonitorConfig) fill() {
 	if m.SampleEvery <= 0 {
 		m.SampleEvery = 4
 	}
@@ -68,15 +59,6 @@ func (m *MonitorConfig) fill(criterion string) {
 	}
 	if m.Grace <= 0 {
 		m.Grace = 250 * time.Millisecond
-	}
-	if len(m.Criteria) == 0 {
-		m.Criteria = []string{criterion}
-	}
-	if m.Timeout <= 0 {
-		m.Timeout = 2 * time.Second
-	}
-	if m.Workers <= 0 {
-		m.Workers = 1
 	}
 	if m.MaxWindowSessions == 0 {
 		m.MaxWindowSessions = 3
@@ -91,7 +73,7 @@ type Verdict = wire.Verdict
 
 // Summary aggregates the monitor's output so far (wire form:
 // wire.MonitorSummary). Exhausted counts verdict-less outcomes whose
-// search ran out of budget or time; Errors counts hard checker
+// search ran out of its node budget; Errors counts hard checker
 // failures. The two are different signals: many Exhausted means the
 // windows are too expensive, any Errors means the monitor hookup is
 // broken.
@@ -120,8 +102,10 @@ type Summary = wire.MonitorSummary
 //     the cutoff may be missing from the window, which can manifest as
 //     a spurious violation. Treat violations as alarms to investigate,
 //     not as proof by themselves.
-//   - Budget- or timeout-exhausted verdicts say nothing either way
-//     (the exact checkers are exponential in the worst case).
+//   - Budget-exhausted verdicts say nothing either way (the exact
+//     checkers are exponential in the worst case). Whether a window
+//     exhausts depends on the window and Budget alone, never on the
+//     host's load.
 //   - EC is near-vacuous on sampled windows: the EC checker constrains
 //     only ω-flagged (infinitely repeated) reads, which live windows
 //     never contain, so an EC cluster's verdicts are trivially
@@ -153,28 +137,26 @@ func newMonitor(cfg MonitorConfig, criterion string) *Monitor {
 	if cfg.Disable {
 		return &Monitor{disabled: true, done: make(chan struct{})}
 	}
-	cfg.fill(criterion)
+	cfg.fill()
 	m := &Monitor{
 		cfg:  cfg,
 		in:   make(chan checker.Item, 64),
 		done: make(chan struct{}),
 	}
-	opts := []checker.Option{
-		checker.WithCriteria(cfg.Criteria...),
-		checker.WithTimeout(cfg.Timeout),
-		checker.WithWorkers(cfg.Workers),
-		checker.WithPruning(!cfg.NoPrune),
-	}
-	if cfg.Budget > 0 {
-		opts = append(opts, checker.WithBudget(cfg.Budget))
-	}
-	cl := checker.NewClassifier(opts...)
+	// One check at a time keeps the monitor off the serving path's
+	// cores.
+	cl := checker.NewClassifier(
+		checker.WithCriteria(criterion),
+		checker.WithWorkers(1),
+		checker.WithPruning(true),
+		checker.WithBudget(cfg.Budget),
+	)
 	ctx, cancel := context.WithCancel(context.Background())
 	m.cancel = cancel
 	out, err := cl.Stream(ctx, m.in)
 	if err != nil {
-		// Unknown criterion name in Criteria: degrade to disabled
-		// rather than take the serving path down.
+		// Unknown criterion name: degrade to disabled rather than take
+		// the serving path down.
 		cancel()
 		m.disabled = true
 		close(m.done)
@@ -190,11 +172,7 @@ func (m *Monitor) collect(out <-chan checker.ItemResult) {
 	defer close(m.done)
 	for r := range out {
 		m.mu.Lock()
-		for _, name := range m.cfg.Criteria {
-			res, ok := r.Results[name]
-			if !ok {
-				continue
-			}
+		for name, res := range r.Results { // the one criterion checked
 			v := Verdict{
 				Object:    r.Item.Name,
 				Criterion: name,

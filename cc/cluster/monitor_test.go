@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"github.com/paper-repro/ccbm/cc"
+	"github.com/paper-repro/ccbm/cc/checker"
 )
 
 // Internal regression tests for the window-closing machinery: the
@@ -195,5 +197,59 @@ func TestMonitorGraceCutoffCoversRecordedOps(t *testing.T) {
 	}
 	if cutoff != 9 {
 		t.Fatalf("cutoff = %v, want the recorded max res 9", cutoff)
+	}
+}
+
+// TestMonitorBudgetIsTheLimit: the node budget is the monitor's one
+// limit, so a window that needs more nodes than Budget is exhausted
+// with cause budget every time, whatever the host's load — the same
+// outcome ccheck -max-nodes gives on the window.
+func TestMonitorBudgetIsTheLimit(t *testing.T) {
+	counter, err := cc.LookupADT("Counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three sessions inc and get in turn; each get returns the incs
+	// invoked before it, so the window is causally consistent.
+	var ops []checker.TimedOp
+	incs := 0
+	for i := 0; i < 12; i++ {
+		op := cc.NewOp(cc.NewInput("inc"), cc.Bot)
+		if i%4 == 3 {
+			op = cc.NewOp(cc.NewInput("get"), cc.IntOutput(incs))
+		} else {
+			incs++
+		}
+		ops = append(ops, checker.TimedOp{Proc: i % 3, Op: op, Inv: float64(i), Res: float64(i) + 0.5})
+	}
+	full, err := checker.Check(context.Background(), "CC", checker.TimedToHistory(counter, ops), checker.WithPruning(true))
+	if err != nil || !full.Satisfied {
+		t.Fatalf("unbudgeted check: %+v, %v; want satisfied", full, err)
+	}
+	budget := int(full.Explored / 2)
+	if budget < 1 {
+		t.Fatalf("window explores %d nodes; too few to halve", full.Explored)
+	}
+
+	const objects = 4
+	m := newMonitor(MonitorConfig{SampleEvery: 1, WindowOps: len(ops), Budget: budget}, "CC")
+	for o := 0; o < objects; o++ {
+		rec := m.maybeSample(string(rune('a'+o)), counter)
+		for _, op := range ops {
+			rec.record(op.Proc, op.Op, op.Inv, op.Res)
+		}
+	}
+	m.Close()
+	vs := m.Verdicts()
+	if len(vs) != objects {
+		t.Fatalf("%d verdicts, want %d: %+v", len(vs), objects, vs)
+	}
+	for _, v := range vs {
+		if v.Exhausted != checker.CauseBudget || v.Err != "" {
+			t.Errorf("window %s: %+v, want exhausted with cause budget (budget %d of %d nodes)", v.Object, v, budget, full.Explored)
+		}
+	}
+	if s := m.Summary(); s.Exhausted != objects {
+		t.Fatalf("summary: %+v, want %d exhausted", s, objects)
 	}
 }

@@ -560,8 +560,8 @@ type Verdict struct {
 }
 
 // MonitorSummary aggregates the monitor's output so far. Exhausted
-// counts verdict-less outcomes whose search ran out of budget or
-// time; Errors counts hard checker failures. StreamDropped counts
+// counts verdict-less outcomes whose search ran out of its node
+// budget; Errors counts hard checker failures. StreamDropped counts
 // verdicts a stalled stream subscriber missed (the monitor never
 // blocks on a subscriber) — a chaos run that asserts on streamed
 // verdicts must check it to rule out clean-by-omission.

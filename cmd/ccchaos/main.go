@@ -217,7 +217,7 @@ func main() {
 		Shards: *shards, Replicas: *replicas, Criterion: *criterion,
 		Replication: *replication, GossipInterval: *gossip,
 		Resync:  true, // chaos without a repair path cannot converge
-		Monitor: cluster.MonitorConfig{SampleEvery: 2, WindowOps: *monWindow, Timeout: 2 * time.Second},
+		Monitor: cluster.MonitorConfig{SampleEvery: 2, WindowOps: *monWindow},
 	})
 	if err != nil {
 		fail(err)

@@ -6,7 +6,7 @@
 //
 //	ccserved -addr :8344 -criterion CCv -shards 4 -replicas 3 \
 //	         -batch-ops 32 -batch-wait 200us \
-//	         -monitor-sample 4 -window-ops 40 -monitor-timeout 2s
+//	         -monitor-sample 4 -window-ops 40 -monitor-budget 20000000
 //
 // The server speaks the versioned cc/cluster/wire protocol (see
 // cluster.NewHTTPHandler): POST /v1/objects, POST /v1/invoke, POST
@@ -53,9 +53,7 @@ func main() {
 	batchWait := flag.Duration("batch-wait", 200*time.Microsecond, "max time an update waits for its batch")
 	monSample := flag.Int("monitor-sample", 4, "monitor samples 1 in N objects (0 disables the monitor)")
 	monWindow := flag.Int("window-ops", cluster.DefaultWindowOps, "operations per sampled monitor window")
-	monTimeout := flag.Duration("monitor-timeout", 2*time.Second, "wall-clock bound per online check")
 	monBudget := flag.Int("monitor-budget", 0, "search-node bound per online check (0 = checker default)")
-	monNoPrune := flag.Bool("monitor-noprune", false, "run the monitor's exact checkers without DPOR-style pruning")
 	monSessions := flag.Int("monitor-sessions", 0, "max distinct sessions admitted per monitor window (0 = default 3, -1 = uncapped)")
 	compactEvery := flag.Duration("compact-every", 5*time.Second, "CCv log compaction interval (0 disables)")
 	replication := flag.String("replication", "broadcast", "replication backend: broadcast or antientropy (gossip)")
@@ -81,9 +79,7 @@ func main() {
 			Disable:           *monSample <= 0,
 			SampleEvery:       *monSample,
 			WindowOps:         *monWindow,
-			Timeout:           *monTimeout,
 			Budget:            *monBudget,
-			NoPrune:           *monNoPrune,
 			MaxWindowSessions: *monSessions,
 		},
 	}

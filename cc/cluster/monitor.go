@@ -103,9 +103,7 @@ type Summary = wire.MonitorSummary
 //     a spurious violation. Treat violations as alarms to investigate,
 //     not as proof by themselves.
 //   - Budget-exhausted verdicts say nothing either way (the exact
-//     checkers are exponential in the worst case). Whether a window
-//     exhausts depends on the window and Budget alone, never on the
-//     host's load.
+//     checkers are exponential in the worst case).
 //   - EC is near-vacuous on sampled windows: the EC checker constrains
 //     only ω-flagged (infinitely repeated) reads, which live windows
 //     never contain, so an EC cluster's verdicts are trivially

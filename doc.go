@@ -69,7 +69,7 @@
 // Classification scales along three axes: WithPruning turns on the
 // DPOR-style pruners of the layered exploration engine (canonical
 // frame fingerprints, sleep sets, a symmetry quotient — verdicts are
-// provably unchanged; the online monitor runs pruned by default),
+// provably unchanged; the online monitor always runs pruned),
 // WithParallelism forks the causal-family searches of a single history
 // into deterministic subtree tasks sharing their pruning tables, and
 // the Classifier streams batches of histories through a bounded worker

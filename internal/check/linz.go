@@ -108,10 +108,9 @@ func Linearizable(ctx context.Context, t spec.ADT, ops []TimedOp, opt Options) (
 // the differential tests: Linearizable(ops) always implies
 // SC(TimedToHistory(ops)). Events are numbered by invocation time
 // (ties keep their order in ops), so each process's program order is
-// its ops by Inv and event ids interleave processes the way the run
-// did. Only ids change with the numbering, never a verdict; on
-// monitor-shaped windows the pruned CCv and PC searches explore far
-// fewer nodes this way (TestTimedToHistoryWindowNodes).
+// its ops by Inv; on monitor-shaped windows this numbering makes the
+// pruned CCv and PC searches explore far fewer nodes than a
+// process-major one (TestTimedToHistoryWindowNodes).
 func TimedToHistory(t spec.ADT, ops []TimedOp) *history.History {
 	idx := make([]int, len(ops))
 	for i := range idx {

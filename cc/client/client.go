@@ -341,14 +341,16 @@ func (s *Session) WithTarget(t wire.ReadTarget) *Session {
 	return &d
 }
 
-// Invoke executes one operation and waits for its result — exactly
-// InvokeAsync followed by Get, so it takes its place in the session's
-// submission order behind any pending async ops. ctx bounds the wait,
-// not the operation (see Future.Get). With batching enabled the op
-// rides a batch (the delay flush bounds the wait); without, it is one
-// round trip behind the session's earlier async ops.
+// Invoke executes one operation and waits for its result. It takes
+// its place in the session's submission order behind any pending async
+// ops, exactly as InvokeAsync followed by Get would. With batching
+// enabled the op rides a batch (the delay flush bounds the wait).
+// Without batching, a ctx that can never be cancelled (Done() == nil,
+// as context.Background) runs the op's round trip on the caller's
+// goroutine; otherwise ctx bounds the wait, not the operation (see
+// Future.Get).
 func (s *Session) Invoke(ctx context.Context, object string, in cc.Input) (cc.Output, error) {
-	return s.InvokeAsync(object, in).Get(ctx)
+	return s.submit(object, in, ctx.Done() == nil).Get(ctx)
 }
 
 // Call is Invoke with the method/args convenience.
@@ -357,12 +359,19 @@ func (s *Session) Call(ctx context.Context, object, method string, args ...int) 
 }
 
 // InvokeAsync submits one operation and returns its Future
-// immediately. Ops submitted through one session execute in
-// submission order; ops of independent sessions pipeline freely. With
-// batching enabled the op coalesces into the next batch flush;
-// without, it runs as its own round trip behind the session's earlier
-// async ops.
+// immediately. Ops submitted through one session, by InvokeAsync or
+// Invoke, execute in submission order; ops of independent sessions
+// pipeline freely. With batching enabled the op coalesces into the
+// next batch flush; without, it runs as its own round trip behind the
+// session's earlier ops.
 func (s *Session) InvokeAsync(object string, in cc.Input) *Future {
+	return s.submit(object, in, false)
+}
+
+// submit places one op in the session's order. An unbatched op runs on
+// the caller's goroutine when inline is set (the returned Future is
+// then already settled), and on its own goroutine otherwise.
+func (s *Session) submit(object string, in cc.Input, inline bool) *Future {
 	f := newFuture()
 	if err := s.c.checkOpen(); err != nil {
 		f.reject(err)
@@ -378,26 +387,35 @@ func (s *Session) InvokeAsync(object string, in cc.Input) *Future {
 		return f
 	}
 	prev, done := s.c.seqPush(s.id)
-	go func() {
-		if prev != nil {
-			<-prev
-		}
-		start := time.Now()
-		resp, err := s.c.invokeHealed(context.Background(), s.id, &wire.InvokeRequest{
-			Session: s.id, Object: object, Method: in.Method, Args: in.Args, Target: s.wireTarget(),
-		}, sc)
-		if sc != nil {
-			s.c.slaObserve(sc, resp, time.Since(start), err)
-		}
-		if err != nil {
-			f.reject(err)
-		} else {
-			f.resolve(outputFromWire(resp))
-		}
-		close(done)
-		s.c.seqDrained(s.id, done)
-	}()
+	if inline {
+		s.run(object, in, sc, f, prev, done)
+	} else {
+		go s.run(object, in, sc, f, prev, done)
+	}
 	return f
+}
+
+// run performs one unbatched op at its place in the session's FIFO
+// chain: it waits for prev, makes the round trip, settles f, and only
+// then releases the session's next op through done.
+func (s *Session) run(object string, in cc.Input, sc *slaCall, f *Future, prev, done chan struct{}) {
+	if prev != nil {
+		<-prev
+	}
+	start := time.Now()
+	resp, err := s.c.invokeHealed(context.Background(), s.id, &wire.InvokeRequest{
+		Session: s.id, Object: object, Method: in.Method, Args: in.Args, Target: s.wireTarget(),
+	}, sc)
+	if sc != nil {
+		s.c.slaObserve(sc, resp, time.Since(start), err)
+	}
+	if err != nil {
+		f.reject(err)
+	} else {
+		f.resolve(outputFromWire(resp))
+	}
+	close(done)
+	s.c.seqDrained(s.id, done)
 }
 
 // CallAsync is InvokeAsync with the method/args convenience.

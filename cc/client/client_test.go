@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -439,5 +442,143 @@ func TestClientValidationAndClose(t *testing.T) {
 	}
 	if _, err := s.CallAsync("x", "inc", 1).Get(ctx); !errors.Is(err, client.ErrClosed) {
 		t.Fatalf("async invoke after close = %v, want ErrClosed", err)
+	}
+}
+
+// stackTransport records, for every Invoke, whether the goroutine
+// running it has the calling test's frame on its stack.
+type stackTransport struct {
+	fakeTransport
+	frame    string
+	onCaller []bool
+}
+
+func (s *stackTransport) Invoke(ctx context.Context, req *wire.InvokeRequest) (*wire.InvokeResponse, error) {
+	buf := make([]byte, 64<<10)
+	stack := string(buf[:runtime.Stack(buf, false)])
+	s.mu.Lock()
+	s.onCaller = append(s.onCaller, strings.Contains(stack, s.frame))
+	s.mu.Unlock()
+	return s.fakeTransport.Invoke(ctx, req)
+}
+
+// TestInvokeRunsOnCaller pins who runs a synchronous unbatched op: with
+// a context that can never be cancelled the round trip runs on the
+// caller's goroutine; with a cancellable one it runs on its own
+// goroutine, so the context can abandon the wait.
+func TestInvokeRunsOnCaller(t *testing.T) {
+	tr := &stackTransport{frame: "client_test.TestInvokeRunsOnCaller("}
+	cli, err := client.New(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := cli.Session(1)
+	if _, err := s.Call(context.Background(), "x", "w", 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := s.Call(ctx, "x", "w", 2); err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, false}; fmt.Sprint(tr.onCaller) != fmt.Sprint(want) {
+		t.Fatalf("ran on the caller's goroutine: %v, want %v (Background, cancellable)", tr.onCaller, want)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Call(context.Background(), "x", "r"); !errors.Is(err, client.ErrClosed) {
+		t.Fatalf("invoke after close = %v, want ErrClosed", err)
+	}
+}
+
+// TestInvokeBehindPendingAsync checks that a synchronous op run on the
+// caller's goroutine still waits behind the session's pending async
+// ops: each read follows an unawaited write and must return it.
+func TestInvokeBehindPendingAsync(t *testing.T) {
+	c, err := cluster.New(cluster.Config{Monitor: cluster.MonitorConfig{Disable: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cli, err := client.New(client.NewLoopback(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx := context.Background()
+	s := cli.Session(1)
+	if _, err := s.Object(ctx, "r", "Register"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 200; i++ {
+		s.CallAsync("r", "w", i)
+		out, err := s.Call(ctx, "r", "r")
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if !out.Equal(cc.IntOutput(i)) {
+			t.Fatalf("read %d returned %s, want %d", i, out.String(), i)
+		}
+	}
+}
+
+// gateTransport holds its first Invoke until release is closed and
+// notes whether any later Invoke began before the first returned.
+type gateTransport struct {
+	fakeTransport
+	release       chan struct{}
+	entered       chan struct{} // one send per Invoke
+	firstReturned atomic.Bool
+	early         atomic.Bool // a later op reached the wire too soon
+}
+
+func (g *gateTransport) Invoke(ctx context.Context, req *wire.InvokeRequest) (*wire.InvokeResponse, error) {
+	first := g.count() == 0
+	if !first && !g.firstReturned.Load() {
+		g.early.Store(true)
+	}
+	resp, err := g.fakeTransport.Invoke(ctx, req)
+	g.entered <- struct{}{}
+	if first {
+		<-g.release
+		g.firstReturned.Store(true)
+	}
+	return resp, err
+}
+
+// TestInvokeCancelAbandonsWait checks that a cancelled context ends
+// the caller's wait while the op is still on the wire, and that the
+// session's next op reaches the transport only after that op returns.
+func TestInvokeCancelAbandonsWait(t *testing.T) {
+	tr := &gateTransport{release: make(chan struct{}), entered: make(chan struct{}, 2)}
+	cli, err := client.New(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	s := cli.Session(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Call(ctx, "x", "w", 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled invoke = %v, want context.Canceled", err)
+	}
+	<-tr.entered // the abandoned op is on the wire
+	next := make(chan error, 1)
+	go func() {
+		_, err := s.Call(context.Background(), "x", "w", 2)
+		next <- err
+	}()
+	select {
+	case <-tr.entered:
+		t.Fatal("next op reached the transport while the abandoned op was on the wire")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(tr.release)
+	if err := <-next; err != nil {
+		t.Fatal(err)
+	}
+	if tr.early.Load() || tr.count() != 2 {
+		t.Fatalf("next op ran early=%v, transport calls=%d, want false, 2", tr.early.Load(), tr.count())
 	}
 }

@@ -149,6 +149,26 @@ func (t *tracker) record(migrating, fault, errored bool, d time.Duration) {
 	t.mu.Unlock()
 }
 
+// awaitVerdicts polls the monitor summary until every window that
+// entered the classifier's queue has its verdict, so the run is judged
+// on all of them. Dropped windows never enter the queue and are not
+// counted in WindowsSubmitted. The last summary is returned with an
+// error if verdicts are still missing at the timeout.
+func awaitVerdicts(summary func() cluster.Summary, timeout time.Duration) (cluster.Summary, error) {
+	deadline := time.Now().Add(timeout)
+	for {
+		sum := summary()
+		if sum.Verdicts >= sum.WindowsSubmitted {
+			return sum, nil
+		}
+		if !time.Now().Before(deadline) {
+			return sum, fmt.Errorf("monitor: %d of %d submitted windows have verdicts after %v",
+				sum.Verdicts, sum.WindowsSubmitted, timeout)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // healResult records one repair event's convergence assertion.
 type healResult struct {
 	event string
@@ -416,10 +436,7 @@ func main() {
 
 	// Final quiescent convergence + verdict sweep.
 	finalErr := c.AwaitConvergence(*convergeTimeout)
-	sum, merr := cli.MonitorSummary(ctx)
-	if merr != nil {
-		fail(merr)
-	}
+	sum, verdictErr := awaitVerdicts(c.Monitor().Summary, *convergeTimeout)
 	met := cli.Metrics()
 
 	steadyRate := rate(trk.steady.ops, trk.steadyDur)
@@ -452,6 +469,9 @@ func main() {
 	}
 	if finalErr != nil {
 		complain("final convergence: %v", finalErr)
+	}
+	if verdictErr != nil {
+		complain("%v", verdictErr)
 	}
 	if len(sum.Violations) > 0 {
 		complain("monitor reported %d violated windows under %s", len(sum.Violations), *criterion)

@@ -103,7 +103,7 @@ func BenchmarkWindowCC(b *testing.B) {
 		fmt.Fprintf(&sb, "p%d: %s\n", p, strings.Join(lines[p], " "))
 	}
 	h := history.MustParse(sb.String())
-	opt := check.Options{Prune: check.PruneAll(), Parallelism: 1}
+	opt := check.Options{Prune: check.PruneAll()}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ok, _, err := check.Check(context.Background(), check.CritCC, h, opt)

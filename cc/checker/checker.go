@@ -32,15 +32,12 @@ const DefaultBudget = check.DefaultMaxNodes
 
 // Params are the resolved parameters of a checker invocation, built
 // from functional options. User-defined CheckFuncs receive them and
-// should honor Budget and Parallelism; Timeout is already applied (as
+// should honor Budget; Timeout is already applied (as
 // a context deadline) by the time a CheckFunc runs.
 type Params struct {
 	// Budget bounds the search-tree nodes explored; 0 means
 	// DefaultBudget.
 	Budget int
-	// Parallelism, when > 1, fans the causal-family searches of one
-	// history out over that many subtree workers.
-	Parallelism int
 	// Timeout bounds one check's wall-clock time; 0 means none. Check
 	// applies it as a context deadline, which the searches poll every
 	// few thousand nodes.
@@ -68,10 +65,12 @@ type Option func(*Params)
 // explore; exceeding it yields a Result with Exhausted == CauseBudget.
 func WithBudget(nodes int) Option { return func(p *Params) { p.Budget = nodes } }
 
-// WithParallelism fans the causal-family searches of one history out
-// over n subtree workers (verdicts and witnesses are identical to the
-// sequential search).
-func WithParallelism(n int) Option { return func(p *Params) { p.Parallelism = n } }
+// WithParallelism is a no-op: the search of one history is always
+// sequential. Across histories, a Classifier runs WithWorkers checks
+// at once.
+//
+// Deprecated: drop the option; it has no effect.
+func WithParallelism(n int) Option { return func(*Params) {} }
 
 // WithTimeout bounds one check's wall-clock time via a context
 // deadline; expiry yields a Result with Exhausted == CauseTimeout.
@@ -107,7 +106,7 @@ func (p Params) CountNodes(n int64) {
 
 // engine translates the public parameters into engine options.
 func (p Params) engine() check.Options {
-	opt := check.Options{MaxNodes: p.Budget, Parallelism: p.Parallelism, Stats: p.stats}
+	opt := check.Options{MaxNodes: p.Budget, Stats: p.stats}
 	if p.Pruning {
 		opt.Prune = check.PruneAll()
 	}

@@ -91,7 +91,7 @@ func (cl *Classifier) split() ([]check.Criterion, []check.ExtraChecker, error) {
 			Name: crit.Name,
 			Fn: func(ctx context.Context, h *history.History, o check.Options) (bool, *check.Witness, error) {
 				q := p
-				q.Budget, q.Parallelism, q.stats = o.MaxNodes, o.Parallelism, o.Stats
+				q.Budget, q.stats = o.MaxNodes, o.Stats
 				return fn(ctx, h, q)
 			},
 		})

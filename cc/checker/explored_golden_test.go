@@ -60,7 +60,7 @@ func TestExploredGolden(t *testing.T) {
 	var total int64
 	check := func(name, criterion string, h *histories.History, expect bool) {
 		t.Helper()
-		res, err := checker.Check(ctx, criterion, h, checker.WithPruning(true), checker.WithParallelism(1))
+		res, err := checker.Check(ctx, criterion, h, checker.WithPruning(true))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -111,7 +111,7 @@ func TestWindow2Sess40(t *testing.T) {
 	for _, crit := range []string{"CC", "CCv"} {
 		for _, pruned := range []bool{true, false} {
 			res, err := checker.Check(context.Background(), crit, h,
-				checker.WithBudget(1_000_000), checker.WithPruning(pruned), checker.WithParallelism(1))
+				checker.WithBudget(1_000_000), checker.WithPruning(pruned))
 			if err != nil || !res.Satisfied {
 				t.Errorf("%s pruned=%v: satisfied=%v exhausted=%q err=%v after %d nodes",
 					crit, pruned, res.Satisfied, res.Exhausted, err, res.Explored)
@@ -137,7 +137,7 @@ func TestAntichainChainFamily(t *testing.T) {
 		for _, crit := range []string{"WCC", "CC", "CCv"} {
 			for _, pruned := range []bool{true, false} {
 				res, err := checker.Check(context.Background(), crit, h,
-					checker.WithBudget(c*k*k), checker.WithPruning(pruned), checker.WithParallelism(1))
+					checker.WithBudget(c*k*k), checker.WithPruning(pruned))
 				if err != nil || res.Satisfied {
 					t.Errorf("k=%d %s pruned=%v: satisfied=%v exhausted=%q err=%v after %d nodes, want unsatisfied within %d",
 						k, crit, pruned, res.Satisfied, res.Exhausted, err, res.Explored, c*k*k)

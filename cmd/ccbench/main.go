@@ -18,17 +18,13 @@
 //	window/<spec>           CC+CCv on a synthetic monitor-window-shaped
 //	                        history (causal counter, e.g. s4x40 = 4
 //	                        sessions, 40 operations), plain and /pruned
-//	<name>/parN             any of the above with -parallelism N
-//	                        (the sequential/parallel pairs are the data
-//	                        the README's speedup table quotes)
 //
 // Before timing anything, every fig3 claim is checked pruned AND
 // unpruned against the paper's caption verdict: a divergence aborts
 // the run, so a bench record implies pruned/unpruned verdict equality
 // on the whole Fig. 3 corpus. Node counts are deterministic, so the
-// pruned/unpruned "nodes" ratio is a core-count-independent measure of
-// what pruning buys (meaningful even on a 1-CPU container, where
-// wall-clock parallel speedups are not).
+// pruned/unpruned "nodes" ratio is a machine-independent measure of
+// what pruning buys.
 package main
 
 import (
@@ -169,7 +165,6 @@ func window(procs, total int) *histories.History {
 func main() {
 	label := flag.String("label", "", "label recorded with the run")
 	appendTo := flag.String("append", "", "append the run to this JSON-array file")
-	parallelism := flag.Int("parallelism", 0, "also record every suite with Options.Parallelism=N (0 = skip)")
 	flag.Parse()
 
 	results := make(map[string]Result)
@@ -177,17 +172,10 @@ func main() {
 	run.Procs = runtime.GOMAXPROCS(0)
 	run.Cores = runtime.NumCPU()
 
-	// variants records a configuration sequentially, pruned, and (when
-	// requested) both again under -parallelism.
+	// variants records a configuration plain and pruned.
 	variants := func(name string, checks []check) {
 		bench(results, name, checks)
 		bench(results, name+"/pruned", checks, checker.WithPruning(true))
-		if *parallelism > 1 {
-			bench(results, fmt.Sprintf("%s/par%d", name, *parallelism), checks,
-				checker.WithParallelism(*parallelism))
-			bench(results, fmt.Sprintf("%s/pruned/par%d", name, *parallelism), checks,
-				checker.WithPruning(true), checker.WithParallelism(*parallelism))
-		}
 	}
 
 	// fig1: every criterion of the hierarchy against the Fig. 3c
@@ -203,10 +191,6 @@ func main() {
 	for _, c := range []string{"EC", "UC", "PC", "WCC", "CCv", "CC", "SC"} {
 		checks := []check{{criterion: c, h: h3c, expect: expect3c[c]}}
 		bench(results, "fig1/"+c, checks)
-		if *parallelism > 1 {
-			bench(results, fmt.Sprintf("fig1/%s/par%d", c, *parallelism), checks,
-				checker.WithParallelism(*parallelism))
-		}
 	}
 
 	// fig3: every caption claim of every sub-figure (mirrors

@@ -16,8 +16,6 @@
 // Flags:
 //
 //	-workers N        histories classified concurrently (default GOMAXPROCS)
-//	-parallelism N    subtree workers per causal search (default 1; the
-//	                  product workers×parallelism is the core budget)
 //	-timeout D        per-criterion wall clock, e.g. 2s (default none)
 //	-max-nodes N      per-criterion search budget (default checker.DefaultBudget)
 //	-criteria LIST    comma-separated subset of the registered criteria
@@ -146,7 +144,6 @@ func render(r checker.ItemResult, parseErr error) histResult {
 
 func main() {
 	workers := flag.Int("workers", 0, "histories classified concurrently (0 = GOMAXPROCS)")
-	parallelism := flag.Int("parallelism", 1, "subtree workers per causal search")
 	timeout := flag.Duration("timeout", 0, "per-criterion wall-clock timeout (0 = none)")
 	maxNodes := flag.Int("max-nodes", 0, "per-criterion search budget (0 = default)")
 	criteriaList := flag.String("criteria", "", "comma-separated criteria subset (default all registered)")
@@ -166,7 +163,6 @@ func main() {
 
 	opts := []checker.Option{
 		checker.WithBudget(*maxNodes),
-		checker.WithParallelism(*parallelism),
 		checker.WithTimeout(*timeout),
 		checker.WithWorkers(*workers),
 	}

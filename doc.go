@@ -24,7 +24,7 @@
 //     (checker.Register / Lookup / All) dispatching built-in and
 //     user-defined criteria uniformly, context-aware checking
 //     (checker.Check(ctx, "CC", h, opts...) with WithBudget,
-//     WithParallelism, WithPruning, WithTimeout), a unified Result
+//     WithPruning, WithTimeout), a unified Result
 //     (verdict, witness, explored nodes, wall time, exhaustion cause,
 //     pruning counters), and the streaming batch Classifier.
 //   - cc/cluster: the serving layer — a live, sharded multi-object
@@ -66,12 +66,10 @@
 // performance-shape results for every figure of the paper; cmd/ccbench
 // snapshots the checker numbers into BENCH_checkers.json.
 //
-// Classification scales along three axes: WithPruning turns on the
+// Classification scales along two axes: WithPruning turns on the
 // DPOR-style pruners of the layered exploration engine (canonical
 // frame fingerprints, sleep sets, a symmetry quotient — verdicts are
-// provably unchanged; the online monitor always runs pruned),
-// WithParallelism forks the causal-family searches of a single history
-// into deterministic subtree tasks sharing their pruning tables, and
+// provably unchanged; the online monitor always runs pruned), and
 // the Classifier streams batches of histories through a bounded worker
 // pool with per-criterion timeouts — cmd/ccclassify is the batch front
 // end emitting one JSON object per history. See README.md's "Checker

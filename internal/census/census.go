@@ -145,9 +145,8 @@ func (cfg *Config) Size() (int, error) {
 
 // Run enumerates and classifies the whole space. The classification
 // fan-out rides the check package's batch engine (ClassifyAll): one
-// bounded worker pool across histories, with cfg.Options — including
-// per-history Parallelism for the causal searches — passed through to
-// every checker. Aggregation is single-threaded on the result stream,
+// bounded worker pool across histories, with cfg.Options passed
+// through to every checker. Aggregation is single-threaded on the result stream,
 // which makes it deterministic without locking.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)

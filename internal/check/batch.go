@@ -14,10 +14,8 @@ import (
 // pool and classify each against every requested criterion, with an
 // optional per-criterion wall-clock timeout. This is the scale path
 // the cmd tools and the census build on — the per-history exponential
-// searches stay single-threaded by default (cross-history parallelism
-// has no coordination cost), while Options.Parallelism can additionally
-// fan out the causal searches of each history when the batch is small
-// and the histories are big.
+// searches stay single-threaded, and the parallelism is across
+// histories, which needs no coordination.
 
 // BatchItem is one history to classify. Index is echoed back in the
 // result so streaming consumers can restore input order; Name is free
@@ -100,7 +98,7 @@ func (r *BatchResult) Err() error {
 // BatchOptions tunes ClassifyAll.
 type BatchOptions struct {
 	// Options is passed to every checker invocation (MaxNodes,
-	// Parallelism for the per-history causal searches, ...). The Stats
+	// Prune, ...). The Stats
 	// field must be nil; the engine installs a private one per check
 	// and reports the count in CriterionOutcome.Explored.
 	Options

@@ -49,8 +49,8 @@ func TestErrBudgetExceededTyped(t *testing.T) {
 
 func batchCorpus(t *testing.T) []BatchItem {
 	t.Helper()
-	items := make([]BatchItem, len(parFig3Texts))
-	for i, text := range parFig3Texts {
+	items := make([]BatchItem, len(fig3Texts))
+	for i, text := range fig3Texts {
 		items[i] = BatchItem{Name: fmt.Sprintf("fig3-%d", i), H: history.MustParse(text)}
 	}
 	return items

@@ -39,7 +39,7 @@ import (
 // check each kind runs (checkEvent), and the WCC/CC/CCv entry points.
 // The engine (frame loop, frontier and visibility enumeration, memo,
 // slab allocation) lives in explore.go, the optional pruning layer in
-// prune.go, and the parallel pipeline in parallel.go.
+// prune.go.
 
 // causalKind selects which criterion the shared search decides.
 type causalKind int
@@ -113,9 +113,6 @@ func runCausal(ctx context.Context, h *history.History, kind causalKind, opt Opt
 	if err := ctxErr(ctx); err != nil {
 		return false, nil, err
 	}
-	if opt.parallelism() > 1 && h.N() >= minParallelEvents {
-		return runCausalParallel(ctx, h, kind, opt)
-	}
 	cs := newCausalSearcher(h, kind, opt.maxNodes(), opt.Prune)
 	if opt.Stats != nil {
 		defer func() {
@@ -124,16 +121,16 @@ func runCausal(ctx context.Context, h *history.History, kind causalKind, opt Opt
 		}()
 	}
 	if ctx != nil && ctx.Done() != nil {
-		// Route the budget through a chunked pool so the searcher polls
-		// ctx.Err() at least every feederChunk nodes. The node count at
-		// which the budget runs out is unchanged (the pool hands out
-		// exactly maxNodes in total).
-		cs.feed = newFeeder(newBudgetPool(opt.maxNodes()), ctx, nil, cs.budget)
+		// Feed the budget in chunks so the searcher polls ctx.Err() at
+		// least every feederChunk nodes. The node count at which the
+		// budget runs out is unchanged (the feeder hands out exactly
+		// maxNodes in total).
+		cs.feed = newFeeder(ctx, opt.maxNodes(), cs.budget)
 		cs.ls.feed = cs.feed
 		cs.budgetVal = 0
 	}
 	ok := cs.run()
-	if cs.feed != nil && cs.feed.interrupted {
+	if cs.feed.wasInterrupted() {
 		return false, nil, ctx.Err()
 	}
 	if cs.budgetVal < 0 {

@@ -20,10 +20,7 @@ import (
 // pruner's canonical frame key, frontier filters events through
 // admitEvent, and commitWith filters (event, visibility) choices
 // through admitChoice. The criterion itself is confined to checkEvent
-// (causal.go); the parallel pipeline (parallel.go) reuses frontier and
-// tryCommit verbatim by swapping the cs.next continuation, which is
-// what keeps its enumeration order — and therefore its verdicts —
-// identical to the sequential engine's.
+// (causal.go).
 
 // maxSubsetCands bounds the number of candidate updates one commit's
 // visibility enumeration handles: antichains are enumerated as uint64
@@ -73,31 +70,20 @@ type causalSearcher struct {
 	// memo holds fingerprints of failed commit-level states; stateHash
 	// is the current state's fingerprint, maintained incrementally
 	// across commit/uncommit (hashStack saves the pre-commit value per
-	// depth). In parallel mode the entries live in shard instead — a
-	// lock-sharded table the subtree tasks share. With canonical
-	// pruning active, the pruner's frame key replaces the
-	// order-sensitive stateHash as the key, making the same tables the
-	// canonicalization tables. The per-event lin queries keep their own
-	// per-query memo inside ls.
+	// depth). With canonical pruning active, the pruner's frame key
+	// replaces the order-sensitive stateHash as the key, making the
+	// same table the canonicalization table. The per-event lin queries
+	// keep their own per-query memo inside ls.
 	memo      map[uint64]struct{}
-	shard     *shardedMemo
 	stateHash uint64
 	hashStack []uint64
 
 	// prune, when non-nil, is the pruning layer (see prune.go).
 	prune pruner
 
-	// feed, when non-nil, refills the budget in chunks from a shared
-	// pool and carries interrupt/cancel signals (see parallel.go).
+	// feed, when non-nil, refills the budget in chunks while the
+	// caller's context is live (see budget.go).
 	feed *feeder
-
-	// next is the continuation commitWith invokes after a successful
-	// commit: cs.run for the ordinary recursive search, or the
-	// frontier expander's depth-limited descent in parallel mode.
-	// Routing the recursion through one field keeps tryCommit the
-	// single source of the (event, visibility subset) enumeration
-	// order, which the parallel determinism guarantee depends on.
-	next func() bool
 
 	frames []csFrame
 
@@ -201,7 +187,6 @@ func newCausalSearcher(h *history.History, kind causalKind, maxNodes int, prune 
 	if pr := newPruner(cs, prune); pr != nil {
 		cs.prune = pr
 	}
-	cs.next = cs.run
 	return cs
 }
 
@@ -230,14 +215,7 @@ func (cs *causalSearcher) run() bool {
 			key, canon = k, true
 		}
 	}
-	if cs.shard != nil {
-		if cs.shard.failed(key) {
-			if canon {
-				cs.prune.canonHit()
-			}
-			return false
-		}
-	} else if _, failed := cs.memo[key]; failed {
+	if _, failed := cs.memo[key]; failed {
 		if canon {
 			cs.prune.canonHit()
 		}
@@ -247,11 +225,7 @@ func (cs *causalSearcher) run() bool {
 		return true
 	}
 	if *cs.budget >= 0 {
-		if cs.shard != nil {
-			cs.shard.add(key)
-		} else {
-			cs.memo[key] = struct{}{}
-		}
+		cs.memo[key] = struct{}{}
 	}
 	return false
 }
@@ -260,9 +234,9 @@ func (cs *causalSearcher) run() bool {
 // frame — uncommitted, program predecessors committed, ω-events only
 // once every update is in — in increasing id order, trying each
 // through tryCommit. The id order is the enumeration order the
-// parallel determinism guarantee and the sleep-set rule's
-// lexicographic argument both build on. It reports whether some
-// continuation succeeded; on budget exhaustion it unwinds early.
+// sleep-set rule's lexicographic argument builds on. It reports
+// whether some continuation succeeded; on budget exhaustion it
+// unwinds early.
 func (cs *causalSearcher) frontier() bool {
 	allUpdatesIn := cs.updates.SubsetOf(cs.committed)
 	for e := 0; e < cs.n; e++ {
@@ -419,7 +393,7 @@ func (cs *causalSearcher) commitWith(e int, fr *csFrame, x []int) bool {
 		return false
 	}
 	cs.push(e, past, lin)
-	if cs.next() {
+	if cs.run() {
 		return true
 	}
 	cs.pop(e)
@@ -428,10 +402,7 @@ func (cs *causalSearcher) commitWith(e int, fr *csFrame, x []int) bool {
 
 // push performs the commit bookkeeping for e once checkEvent accepted
 // it: pasts[e] must already hold the (frame-aliased) past. pop undoes
-// it. The pair is shared by the sequential recursion (commitWith), the
-// parallel frontier expansion and the per-task prefix replay, so all
-// three maintain the state — including the incremental fingerprints,
-// the pruner's included — identically.
+// it, restoring the incremental fingerprints, the pruner's included.
 func (cs *causalSearcher) push(e int, past porder.Bitset, lin []int) {
 	cs.committed.Set(e)
 	cs.pos[e] = len(cs.order)
@@ -462,7 +433,7 @@ func (cs *causalSearcher) pop(e int) {
 func (cs *causalSearcher) exhaust() {
 	*cs.budget = -1
 	if cs.feed != nil {
-		cs.feed.exhausted = true
+		cs.feed.left = 0
 	}
 }
 
@@ -477,13 +448,9 @@ func (cs *causalSearcher) pruneStats() PruneStats {
 
 // explored returns the number of nodes this searcher consumed out of
 // an initial budget of `total`, whether the countdown was local or
-// routed through a feeder's chunked pool.
+// fed in chunks.
 func (cs *causalSearcher) explored(total int) int64 {
-	var pool *budgetPool
-	if cs.feed != nil {
-		pool = cs.feed.pool
-	}
-	return spentNodes(total, pool, cs.budgetVal)
+	return spentNodes(total, cs.feed, cs.budgetVal)
 }
 
 // witness clones the committed pasts and per-event linearizations out

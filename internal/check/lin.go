@@ -54,10 +54,6 @@
 //     the CCv canonical key must keep the update suborder, and the
 //     symmetry quotient disables itself off chain-shaped program
 //     orders).
-//   - parallel.go — the parallel pipeline: the top of the commit tree
-//     forks into deterministically ordered subtree tasks; the shared
-//     lock-sharded failed-state table doubles as the shared canonical
-//     pruning table.
 //
 // The non-causal checkers (SC, PC, EC/UC, CM, the session guarantees)
 // predate the engine and keep their own specialized searches.
@@ -89,18 +85,6 @@ type Options struct {
 	// MaxNodes bounds the total number of search-tree nodes explored by
 	// one checker invocation; 0 means DefaultMaxNodes.
 	MaxNodes int
-
-	// Parallelism, when > 1, lets the causal-family checkers (WCC, CC,
-	// CCv) fork the top levels of their commit decision tree into that
-	// many concurrently searched subtree tasks. Verdicts and witnesses
-	// are bit-for-bit identical to the sequential search whenever the
-	// node budget is not exhausted; only the point at which a
-	// budget-bound search gives up may shift, because the budget is
-	// drawn from a shared pool in chunks. 0 and 1 mean sequential.
-	// The non-causal checkers ignore the field (their searches are
-	// either trivial or per-process, and the batch engine parallelizes
-	// across histories instead).
-	Parallelism int
 
 	// Prune selects the DPOR-style pruners the causal-family checkers
 	// apply (see the Prune type); the zero value is the exhaustive,
@@ -136,13 +120,6 @@ func (o Options) maxNodes() int {
 	return o.MaxNodes
 }
 
-func (o Options) parallelism() int {
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
-}
-
 // linSearcher finds a linearization of a subset of a history's events,
 // conforming to the ADT's sequential specification, where only some
 // events' outputs are visible (the others are hidden operations in the
@@ -157,10 +134,9 @@ type linSearcher struct {
 	t      spec.ADT
 	events []history.Event
 	budget *int
-	// feed, when non-nil, tops the budget back up in chunks from a
-	// shared pool and carries the interrupt/cancel signals (see
-	// parallel.go); a nil feed leaves the classic "count down from
-	// MaxNodes" behaviour untouched.
+	// feed, when non-nil, tops the budget back up in chunks while the
+	// caller's context is live (see budget.go); a nil feed leaves the
+	// classic "count down from MaxNodes" behaviour untouched.
 	feed *feeder
 	memo fpTable[struct{}] // failed (done, state) fingerprints of the current query
 
@@ -223,24 +199,22 @@ func (ls *linSearcher) initState() spec.State {
 
 // searchRun couples one checker invocation's budget countdown with the
 // optional context-cancellation feeder and the explored-node tally.
-// When ctx is cancellable the budget is routed through a chunked pool
-// so the search polls ctx.Err() at least every feederChunk nodes; an
-// uncancellable context (context.Background(), context.TODO(), nil)
-// keeps the classic zero-overhead "count down from MaxNodes"
-// behaviour, so the hot sequential path pays nothing for the plumbing.
+// When ctx is cancellable the budget is fed in chunks so the search
+// polls ctx.Err() at least every feederChunk nodes; an uncancellable
+// context (context.Background(), context.TODO(), nil) keeps the
+// classic zero-overhead "count down from MaxNodes" behaviour, so the
+// hot path pays nothing for the plumbing.
 type searchRun struct {
 	ctx     context.Context
 	initial int
 	budget  int
-	pool    *budgetPool
 	feed    *feeder
 }
 
 func newSearchRun(ctx context.Context, opt Options) *searchRun {
 	r := &searchRun{ctx: ctx, initial: opt.maxNodes()}
 	if ctx != nil && ctx.Done() != nil {
-		r.pool = newBudgetPool(r.initial)
-		r.feed = newFeeder(r.pool, ctx, nil, &r.budget)
+		r.feed = newFeeder(ctx, r.initial, &r.budget)
 	} else {
 		r.budget = r.initial
 	}
@@ -249,36 +223,7 @@ func newSearchRun(ctx context.Context, opt Options) *searchRun {
 
 // explored returns the number of search nodes consumed so far.
 func (r *searchRun) explored() int64 {
-	return spentNodes(r.initial, r.pool, r.budget)
-}
-
-// spentNodes computes how many nodes a search consumed out of an
-// initial budget: against the chunked pool's remainder when the
-// countdown was routed through one (minus the unspent local chunk),
-// against the local countdown otherwise, clamped to [0, initial].
-// Shared by searchRun and the causal searcher so the Explored
-// statistic is accounted identically everywhere.
-func spentNodes(initial int, pool *budgetPool, local int) int64 {
-	var spent int
-	if pool != nil {
-		left := int(pool.left.Load())
-		if left < 0 {
-			left = 0
-		}
-		spent = initial - left
-		if local > 0 {
-			spent -= local
-		}
-	} else {
-		spent = initial - local
-	}
-	if spent < 0 {
-		spent = 0
-	}
-	if spent > initial {
-		spent = initial
-	}
-	return int64(spent)
+	return spentNodes(r.initial, r.feed, r.budget)
 }
 
 // record adds the run's work to the caller's stats, if requested.
@@ -309,10 +254,6 @@ func ctxErr(ctx context.Context) error {
 	}
 	return ctx.Err()
 }
-
-// wasInterrupted is a nil-safe accessor for callers that may not have
-// attached a feeder at all.
-func (f *feeder) wasInterrupted() bool { return f != nil && f.interrupted }
 
 // findLin searches for an order of the events in include, respecting
 // preds (required strict predecessors per event, one materialized

@@ -219,7 +219,7 @@ func TestMetamorphicParseShuffle(t *testing.T) {
 // output.
 func TestMetamorphicFig3(t *testing.T) {
 	r := rand.New(rand.NewSource(1618))
-	for _, text := range parFig3Texts {
+	for _, text := range fig3Texts {
 		h := history.MustParse(text)
 		name := strings.SplitN(text, "\n", 2)[0]
 		base := classifyOrFail(t, h, name)

@@ -21,9 +21,8 @@ import (
 //     them. Two frames with colliding fingerprints are interchangeable,
 //     so once one has been refuted exhaustively, the other is pruned —
 //     the canonical key simply replaces the engine's order-sensitive
-//     failed-state key, which makes the existing memo (local map or the
-//     parallel pipeline's lock-sharded table) the canonicalization
-//     table. For CCv the naive order-insensitive key would be unsound:
+//     failed-state key, which makes the existing memo the
+//     canonicalization table. For CCv the naive order-insensitive key would be unsound:
 //     the shared total order ≤ is the commit order, and a future event's
 //     replay of its past depends on the relative commit order of the
 //     state-changing events in it (two different update interleavings

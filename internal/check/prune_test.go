@@ -23,9 +23,7 @@ import (
 // sleep-set exclusion additionally preserve the witness bit for bit;
 // the symmetry quotient may return a renamed equivalent, so its
 // witnesses are instead re-validated by the checker-independent
-// validator (validate.go). Run with -race to exercise the shared
-// canonical table in the parallel pipeline (the CI prune-equivalence
-// job does).
+// validator (validate.go).
 
 // pruneConfigs enumerates the pruner configurations under test: each
 // pruner alone, the witness-preserving pair, and everything.
@@ -41,8 +39,7 @@ var pruneConfigs = []struct {
 }
 
 // comparePruned checks every pruner configuration against the
-// exhaustive sequential search on all three causal criteria, and the
-// parallel pruned pipeline against the sequential pruned search.
+// exhaustive search on all three causal criteria.
 func comparePruned(t *testing.T, h *history.History, name string) {
 	t.Helper()
 	for _, c := range []Criterion{CritWCC, CritCC, CritCCv} {
@@ -67,25 +64,12 @@ func comparePruned(t *testing.T, h *history.History, name string) {
 					t.Fatalf("%s: %v: pruned[%s] witness invalid: %v", name, c, pc.name, err)
 				}
 			}
-			// The parallel pipeline shares the pruning tables across
-			// workers; its verdict and witness must match the pruned
-			// sequential search bit for bit.
-			okPar, wPar, errPar := Check(context.Background(), c, h, Options{Prune: pc.cfg, Parallelism: 8})
-			if okP != okPar || (errP == nil) != (errPar == nil) {
-				t.Fatalf("%s: %v: pruned[%s] sequential (%v, %v) != parallel (%v, %v)",
-					name, c, pc.name, okP, errP, okPar, errPar)
-			}
-			if !reflect.DeepEqual(wP, wPar) {
-				t.Fatalf("%s: %v: pruned[%s] parallel witness diverged\nseq: %+v\npar: %+v",
-					name, c, pc.name, wP, wPar)
-			}
 		}
 	}
 }
 
 func TestPruneFig3Corpus(t *testing.T) {
-	forceParallel(t)
-	for _, text := range parFig3Texts {
+	for _, text := range fig3Texts {
 		h := history.MustParse(text)
 		name := strings.SplitN(text, "\n", 2)[0]
 		comparePruned(t, h, name)
@@ -99,9 +83,8 @@ func TestPruneFig3Corpus(t *testing.T) {
 // pruned and exhaustive searches must agree on every variant too
 // (process renaming in particular permutes the symmetry classes).
 func TestPruneMetamorphicCorpus(t *testing.T) {
-	forceParallel(t)
 	r := rand.New(rand.NewSource(8))
-	for i, text := range parFig3Texts {
+	for i, text := range fig3Texts {
 		h := history.MustParse(text)
 		name := fmt.Sprintf("fig3[%d]", i)
 		if dataIndependent(h.ADT) {
@@ -120,7 +103,6 @@ func TestPruneMetamorphicCorpus(t *testing.T) {
 // TestPruneRandomHistories covers ≥250 seeded random histories (same
 // generator as the other differential suites, independent seed).
 func TestPruneRandomHistories(t *testing.T) {
-	forceParallel(t)
 	rounds := 250
 	if testing.Short() {
 		rounds = 60
@@ -134,12 +116,11 @@ func TestPruneRandomHistories(t *testing.T) {
 
 // TestPruneMiniCensusW1 exhaustively cross-checks pruned vs exhaustive
 // over every W1 history of shape [2,2] — the same space the
-// seed-vs-rewrite and parallel differential tests enumerate.
+// seed-vs-rewrite differential test enumerates.
 func TestPruneMiniCensusW1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive enumeration")
 	}
-	forceParallel(t)
 	w1 := adt.NewWindowStream(1)
 	ops := []spec.Operation{
 		spec.NewOp(spec.NewInput("w", 1), spec.Bot),
@@ -170,7 +151,7 @@ func TestPruneMiniCensusW1(t *testing.T) {
 // fewer nodes than the exhaustive search, with identical verdicts —
 // the acceptance bar the benchmark records reproduce.
 func TestPruneReducesNodes(t *testing.T) {
-	h := history.MustParse(parFig3Texts[7]) // 3h, 12 events
+	h := history.MustParse(fig3Texts[7]) // 3h, 12 events
 	var exhaustive, pruned int64
 	for _, c := range []Criterion{CritWCC, CritCC, CritCCv} {
 		sE := &Stats{}
@@ -203,31 +184,25 @@ func TestPruneReducesNodes(t *testing.T) {
 }
 
 // TestPruneCountersPlumbed checks that each pruner's counter fires on
-// a history crafted for it and flows through Options.Stats, both
-// sequentially and through the parallel pipeline's per-task
-// aggregation.
+// a history crafted for it and flows through Options.Stats.
 func TestPruneCountersPlumbed(t *testing.T) {
-	forceParallel(t)
-
 	// Two identical processes, inconsistent outputs: the search
 	// backtracks through every commit order, so the symmetry quotient,
 	// the sleep rule and the canonical table all engage.
 	sym := history.MustParse("adt: Counter\np0: inc get/9\np1: inc get/9")
-	for _, par := range []int{0, 4} {
-		s := &Stats{}
-		ok, _, err := Check(context.Background(), CritCCv, sym, Options{Stats: s, Prune: PruneAll(), Parallelism: par})
-		if err != nil || ok {
-			t.Fatalf("par=%d: (%v, %v), want unsatisfiable", par, ok, err)
-		}
-		if s.Prune.SleepSkips == 0 || s.Prune.SymSkips == 0 {
-			t.Fatalf("par=%d: expected sleep and symmetry counters > 0, got %+v", par, s.Prune)
-		}
+	s := &Stats{}
+	ok, _, err := Check(context.Background(), CritCCv, sym, Options{Stats: s, Prune: PruneAll()})
+	if err != nil || ok {
+		t.Fatalf("(%v, %v), want unsatisfiable", ok, err)
+	}
+	if s.Prune.SleepSkips == 0 || s.Prune.SymSkips == 0 {
+		t.Fatalf("expected sleep and symmetry counters > 0, got %+v", s.Prune)
 	}
 
 	// 3h under CC drives enough backtracking for canonical hits (CCv
 	// refutes it almost immediately, before the table ever fills).
-	h := history.MustParse(parFig3Texts[7])
-	s := &Stats{}
+	h := history.MustParse(fig3Texts[7])
+	s = &Stats{}
 	if _, _, err := Check(context.Background(), CritCC, h, Options{Stats: s, Prune: Prune{Canon: true}}); err != nil {
 		t.Fatal(err)
 	}
@@ -279,38 +254,37 @@ func TestPruneSymmetryRequiresChains(t *testing.T) {
 	}
 }
 
-// TestPruneBudgetExhaustion: a starved pruned search still surfaces
-// the typed budget error (pruning shrinks the tree but cannot rescue
-// a budget this small).
+// TestPruneBudgetExhaustion: a starved search, pruned or not, surfaces
+// the typed budget error rather than a verdict (pruning shrinks the
+// tree but cannot rescue a budget this small).
 func TestPruneBudgetExhaustion(t *testing.T) {
-	h := history.MustParse(parFig3Texts[7])
-	for _, par := range []int{0, 4} {
-		_, _, err := Check(context.Background(), CritCCv, h, Options{MaxNodes: 5, Prune: PruneAll(), Parallelism: par})
+	h := history.MustParse(fig3Texts[7]) // 3h, 12 events
+	for _, prune := range []Prune{{}, PruneAll()} {
+		_, _, err := Check(context.Background(), CritCCv, h, Options{MaxNodes: 5, Prune: prune})
 		var be *ErrBudgetExceeded
-		if !errors.As(err, &be) {
-			t.Fatalf("par=%d: got %v, want *ErrBudgetExceeded", par, err)
+		if !errors.Is(err, ErrBudget) || !errors.As(err, &be) {
+			t.Fatalf("prune=%+v: got %v, want *ErrBudgetExceeded", prune, err)
 		}
 		if be.Criterion != CritCCv || be.MaxNodes != 5 {
-			t.Fatalf("par=%d: bad error payload: %+v", par, be)
+			t.Fatalf("prune=%+v: bad error payload: %+v", prune, be)
 		}
 	}
 }
 
-// TestPruneRaceStress runs pruned parallel classifications from many
-// goroutines at once; meaningful under -race (shared canonical table,
-// per-task counter aggregation).
+// TestPruneRaceStress runs pruned classifications from many
+// goroutines at once; meaningful under -race, where it shows that
+// concurrent searches share no mutable state.
 func TestPruneRaceStress(t *testing.T) {
-	forceParallel(t)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, text := range parFig3Texts {
+			for _, text := range fig3Texts {
 				h := history.MustParse(text)
 				for _, c := range []Criterion{CritWCC, CritCC, CritCCv} {
 					s := &Stats{}
-					if _, _, err := Check(context.Background(), c, h, Options{Prune: PruneAll(), Parallelism: 4, Stats: s}); err != nil {
+					if _, _, err := Check(context.Background(), c, h, Options{Prune: PruneAll(), Stats: s}); err != nil {
 						t.Errorf("%v: %v", c, err)
 					}
 				}
@@ -328,7 +302,7 @@ func TestPruneRaceStress(t *testing.T) {
 // processes (symmetry classes). The nightly fuzz smoke job runs this
 // target.
 func FuzzPruneEquivalence(f *testing.F) {
-	for _, text := range parFig3Texts {
+	for _, text := range fig3Texts {
 		f.Add(text)
 	}
 	f.Add("adt: W2\np0: w(1) r/(0,1)\np1: w(1) r/(0,1)")      // identical writes: colliding state fingerprints

@@ -44,27 +44,31 @@ import (
 // node is the machinery shared by every replicated type: identity, a
 // Lamport clock for unique stamps, and the causal broadcast layer.
 // Concrete types embed it and route their effect messages through
-// update; the layer calls back into apply (set by init) exactly once
-// per effect, in causal order, serially.
+// update; the layer calls back into apply (set by init or initVC)
+// exactly once per effect, in causal order, serially.
 type node struct {
 	mu    sync.Mutex
 	id    int
 	n     int
 	clock vclock.Lamport
 	bc    *broadcast.Causal
-	apply func(origin int, eff any)
 }
 
 // init wires the node to the transport. apply is invoked once per
 // effect message, serially, in causal delivery order; it runs with no
 // locks held by the node, so implementations take n.mu themselves.
 func (n *node) init(t net.Transport, id int, apply func(origin int, eff any)) {
+	n.initVC(t, id, func(origin int, _ vclock.VC, eff any) { apply(origin, eff) })
+}
+
+// initVC is init for types that also need each effect's causal stamp:
+// the vector clock the causal layer assigned at broadcast, under its
+// sequence lock, so concurrent updates at one replica get distinct,
+// causally ordered stamps.
+func (n *node) initVC(t net.Transport, id int, apply broadcast.DeliverVC) {
 	n.id = id
 	n.n = t.N()
-	n.apply = apply
-	n.bc = broadcast.NewCausal(t, id, func(origin int, payload any) {
-		n.apply(origin, payload)
-	})
+	n.bc = broadcast.NewCausalVC(t, id, apply)
 	// CRDT replicas are the anti-entropy users (Sync after partition
 	// healing), so they retain their effect log.
 	n.bc.EnableResync()

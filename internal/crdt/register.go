@@ -70,15 +70,6 @@ func (r *LWWRegister) Key() string {
 	return fmt.Sprintf("%d@%s", r.val, r.cur)
 }
 
-// mvEff is the effect of an MVRegister write: the written value and
-// the writer's view, as a vector clock, of previously applied writes.
-// A delivered write supersedes exactly the current values its vector
-// dominates; concurrent values are both kept.
-type mvEff struct {
-	Val int
-	VC  vclock.VC
-}
-
 // mvEntry is one currently visible value with the vector stamp of the
 // write that produced it.
 type mvEntry struct {
@@ -92,41 +83,38 @@ type mvEntry struct {
 // an object whose convergent state is not a function of the *last*
 // update — precisely the gap in causal memory's writes-into semantics
 // that the paper's Sec. 2 points at.
+//
+// The effect of a write is the bare value; its vector stamp is the one
+// the causal layer assigns at broadcast. A delivered write supersedes
+// exactly the current values its stamp dominates; concurrent values
+// are both kept.
 type MVRegister struct {
 	node
 	cur []mvEntry
-	vc  vclock.VC // join of the stamps of all applied writes
 }
 
 // NewMVRegister creates the replica of a multi-value register at
 // process id. Initially the register holds no value and Read returns
 // the empty set.
 func NewMVRegister(t net.Transport, id int) *MVRegister {
-	r := &MVRegister{vc: vclock.New(t.N())}
-	r.init(t, id, r.applyEff)
+	r := &MVRegister{}
+	r.initVC(t, id, r.applyEff)
 	return r
 }
 
 // Write sets the register to v, superseding every value currently
 // visible at this replica.
-func (r *MVRegister) Write(v int) {
-	r.mu.Lock()
-	stamp := r.vc.Clone().Incr(r.id)
-	r.mu.Unlock()
-	r.update(mvEff{Val: v, VC: stamp})
-}
+func (r *MVRegister) Write(v int) { r.update(v) }
 
-func (r *MVRegister) applyEff(_ int, eff any) {
-	e := eff.(mvEff)
+func (r *MVRegister) applyEff(_ int, vc vclock.VC, eff any) {
 	r.mu.Lock()
 	kept := r.cur[:0]
 	for _, c := range r.cur {
-		if !c.vc.Less(e.VC) {
+		if !c.vc.Less(vc) {
 			kept = append(kept, c)
 		}
 	}
-	r.cur = append(kept, mvEntry{val: e.Val, vc: e.VC})
-	r.vc.Merge(e.VC)
+	r.cur = append(kept, mvEntry{val: eff.(int), vc: vc})
 	r.mu.Unlock()
 }
 

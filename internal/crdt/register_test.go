@@ -2,8 +2,10 @@ package crdt
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
+	"github.com/paper-repro/ccbm/internal/net"
 	"github.com/paper-repro/ccbm/internal/sim"
 )
 
@@ -93,5 +95,33 @@ func TestMVRegisterSameProcessSequentialWrites(t *testing.T) {
 	g.Settle()
 	if !g.Converged() {
 		t.Fatalf("diverged: %v", g.Keys())
+	}
+}
+
+// TestMVRegisterConcurrentWritesOneReplica races two writes on one
+// replica of a live transport. The second write's stamp must dominate
+// the first's (one replica's updates are causally ordered), so after
+// quiescence every replica reads exactly one value.
+func TestMVRegisterConcurrentWritesOneReplica(t *testing.T) {
+	for round := 0; round < 300; round++ {
+		lv := net.NewLive(2)
+		rs := []*MVRegister{NewMVRegister(lv, 0), NewMVRegister(lv, 1)}
+		var wg sync.WaitGroup
+		for v := 1; v <= 2; v++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rs[0].Write(v)
+			}()
+		}
+		wg.Wait()
+		lv.Quiesce()
+		for id, r := range rs {
+			if got := r.Read(); len(got) != 1 {
+				lv.Close()
+				t.Fatalf("round %d: replica %d reads %v, want exactly one value", round, id, got)
+			}
+		}
+		lv.Close()
 	}
 }

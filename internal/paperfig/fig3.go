@@ -165,8 +165,7 @@ p1: wc(1) wc(2) wd(3) rb/3 ra/1 wc(1)`,
 // VerifyClaims checks every caption claim of the fixture against the
 // exact checkers and returns the first mismatch (or checker error) as
 // a non-nil error. opt flows through to the checkers, so callers can
-// pick budgets and — via Options.Parallelism — fan the causal searches
-// out over all cores. It is the pass/fail claim oracle used by the
+// pick budgets and pruning. It is the pass/fail claim oracle used by the
 // tests; tools that need each verdict individually (cmd/ccexperiments'
 // E3 table, cmd/ccbench's timing loop) iterate Claims themselves.
 func (f Fixture) VerifyClaims(opt check.Options) error {

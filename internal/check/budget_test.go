@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,6 +98,104 @@ func TestCancellableContextKeepsBudget(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// The searches are single-threaded; parallelism is across histories
+// (the batch engine's workers, or callers' own goroutines). The
+// TestParallel* tests pin that concurrent searches stay independent:
+// equal results, their own budgets, their own cancellation.
+
+// TestParallelRaceStress runs unpruned causal checks of the Fig. 3
+// corpus from many goroutines at once and requires each to match the
+// single-goroutine verdict and explored-node count; under -race it
+// also shows that concurrent searches share no mutable state.
+func TestParallelRaceStress(t *testing.T) {
+	crits := []Criterion{CritWCC, CritCC, CritCCv}
+	type ref struct {
+		ok    bool
+		nodes int64
+	}
+	want := make(map[string]ref)
+	for _, text := range fig3Texts {
+		h := history.MustParse(text)
+		for _, c := range crits {
+			s := &Stats{}
+			ok, _, err := Check(context.Background(), c, h, Options{Stats: s})
+			if err != nil {
+				t.Fatalf("%v: %v", c, err)
+			}
+			want[fmt.Sprint(text, c)] = ref{ok, s.Nodes}
+		}
+	}
+	var wg sync.WaitGroup
+	for rep := 0; rep < 4; rep++ {
+		for _, text := range fig3Texts {
+			wg.Add(1)
+			go func(text string) {
+				defer wg.Done()
+				h := history.MustParse(text)
+				for _, c := range crits {
+					s := &Stats{}
+					ok, _, err := Check(context.Background(), c, h, Options{Stats: s})
+					if err != nil {
+						t.Errorf("%q %v: %v", strings.SplitN(text, "\n", 2)[0], c, err)
+						continue
+					}
+					if got := (ref{ok, s.Nodes}); got != want[fmt.Sprint(text, c)] {
+						t.Errorf("%q %v: concurrent %+v, alone %+v", strings.SplitN(text, "\n", 2)[0], c, got, want[fmt.Sprint(text, c)])
+					}
+				}
+			}(text)
+		}
+	}
+	wg.Wait()
+}
+
+// TestParallelBudgetExhaustion starves several concurrent CCv searches
+// of 3h, both through the batch engine's workers and through a live
+// cancellable context (chunked budget feeding): each must exhaust its
+// own budget and report the typed *ErrBudgetExceeded{CCv, 5}.
+func TestParallelBudgetExhaustion(t *testing.T) {
+	h := history.MustParse(fig3Texts[7]) // 3h, 12 events
+	items := make([]BatchItem, 8)
+	for i := range items {
+		items[i] = BatchItem{H: h}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []context.Context{context.Background(), ctx} {
+		res := ClassifyBatch(c, items, BatchOptions{
+			Options:  Options{MaxNodes: 5},
+			Workers:  4,
+			Criteria: []Criterion{CritCCv},
+		})
+		for i, r := range res {
+			o := r.Outcomes[CritCCv]
+			var be *ErrBudgetExceeded
+			if !o.BudgetExceeded || !errors.As(o.Err, &be) || be.Criterion != CritCCv || be.MaxNodes != 5 {
+				t.Fatalf("item %d: outcome %+v, want *ErrBudgetExceeded{CCv, 5}", i, o)
+			}
+		}
+	}
+}
+
+// TestParallelCancel feeds a pre-cancelled context to a batch of CCv
+// searches running on several workers: every one must abort on its
+// first poll with context.Canceled, and the batch must still drain.
+func TestParallelCancel(t *testing.T) {
+	h := history.MustParse(fig3Texts[7])
+	items := make([]BatchItem, 8)
+	for i := range items {
+		items[i] = BatchItem{H: h}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // pre-cancelled: must abort on the first poll
+	res := ClassifyBatch(ctx, items, BatchOptions{Workers: 4, Criteria: []Criterion{CritCCv}})
+	for i, r := range res {
+		if err := r.Outcomes[CritCCv].Err; !errors.Is(err, context.Canceled) {
+			t.Fatalf("item %d: err = %v, want context.Canceled", i, err)
 		}
 	}
 }

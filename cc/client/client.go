@@ -10,10 +10,10 @@
 // updates. Independent sessions commute (Perrin et al.'s
 // session-based causal model), which is exactly what the SDK's
 // batching exploits: with WithBatching, asynchronous invocations from
-// many sessions coalesce into pipelined POST /v1/batch round trips
-// (size + delay flush, mirroring the server's own broadcast
-// batching), while each session's ops stay ordered — a session never
-// has ops in two in-flight batches at once.
+// many sessions coalesce into pipelined batch requests (size + delay
+// flush, mirroring the server's own broadcast batching), while each
+// session's ops stay ordered — a session never has ops in two
+// in-flight batches at once.
 //
 //	tr := client.NewHTTPTransport("http://127.0.0.1:8344")
 //	cli, err := client.New(tr, client.WithBatching(64, 500*time.Microsecond))
@@ -61,7 +61,7 @@ type Option func(*config)
 
 // WithBatching turns on client-side batching: asynchronous
 // invocations queue until maxOps are pending or maxDelay has passed
-// since the first, then flush as one POST /v1/batch. Up to
+// since the first, then flush as one batch request. Up to
 // WithMaxInflight batches pipeline concurrently; a session's ops
 // never span two in-flight batches (program order). Without this
 // option every invocation is its own round trip.

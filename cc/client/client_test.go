@@ -1,9 +1,13 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sort"
@@ -580,5 +584,155 @@ func TestInvokeCancelAbandonsWait(t *testing.T) {
 	}
 	if tr.early.Load() || tr.count() != 2 {
 		t.Fatalf("next op ran early=%v, transport calls=%d, want false, 2", tr.early.Load(), tr.count())
+	}
+}
+
+// postTransport sends Invoke and Batch as POST /v1/invoke and POST
+// /v1/batch, the server's other entry path.
+type postTransport struct {
+	*client.HTTPTransport
+	base string
+}
+
+func (p postTransport) Invoke(ctx context.Context, req *wire.InvokeRequest) (*wire.InvokeResponse, error) {
+	var resp wire.InvokeResponse
+	return &resp, post(ctx, p.base+wire.PathPrefix+"/invoke", req, &resp)
+}
+
+func (p postTransport) Batch(ctx context.Context, req *wire.BatchRequest) (*wire.BatchResponse, error) {
+	var resp wire.BatchResponse
+	return &resp, post(ctx, p.base+wire.PathPrefix+"/batch", req, &resp)
+}
+
+func post(ctx context.Context, url string, req, out any) error {
+	b, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var er wire.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Err == nil {
+			return fmt.Errorf("http %s", resp.Status)
+		}
+		return er.Err
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// render is the comparable part of one op's outcome: its output, or
+// its error code (high-water stamps and frontiers carry wall-clock
+// and delivery timing).
+func render(r *wire.InvokeResponse, err error) string {
+	var we *wire.Error
+	switch {
+	case errors.As(err, &we):
+		return "error:" + string(we.Code)
+	case err != nil:
+		return "transport error: " + err.Error()
+	}
+	return fmt.Sprintf("%s bot=%v vals=%v", r.Output, r.Bot, r.Vals)
+}
+
+// driveSeeded sends one seeded stream of invocations and batches
+// through tr, one at a time, and returns every outcome in order.
+// Session i owns objects c<i> and r<i>, so each outcome is a function
+// of the stream alone.
+func driveSeeded(t *testing.T, tr client.Transport, seed int64, steps int) []string {
+	t.Helper()
+	ctx := context.Background()
+	const sessions = 4
+	for i := 0; i < sessions; i++ {
+		for _, o := range []struct{ name, adt string }{{fmt.Sprintf("c%d", i), "Counter"}, {fmt.Sprintf("r%d", i), "Register"}} {
+			if err := tr.CreateObject(ctx, &wire.CreateObjectRequest{Name: o.name, ADT: o.adt}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	op := func(sess int) wire.BatchOp {
+		switch rng.Intn(9) {
+		case 0, 1:
+			return wire.BatchOp{Object: fmt.Sprintf("c%d", sess), Method: "inc", Args: []int{1 + rng.Intn(5)}}
+		case 2, 3:
+			return wire.BatchOp{Object: fmt.Sprintf("c%d", sess), Method: "get"}
+		case 4, 5:
+			return wire.BatchOp{Object: fmt.Sprintf("r%d", sess), Method: "w", Args: []int{rng.Intn(100)}}
+		case 6, 7:
+			return wire.BatchOp{Object: fmt.Sprintf("r%d", sess), Method: "r"}
+		}
+		return wire.BatchOp{Object: "ghost", Method: "get"}
+	}
+	var got []string
+	for step := 0; step < steps; step++ {
+		if rng.Intn(5) > 0 {
+			sess := rng.Intn(sessions)
+			o := op(sess)
+			got = append(got, render(tr.Invoke(ctx, &wire.InvokeRequest{Session: sess, Object: o.Object, Method: o.Method, Args: o.Args})))
+			continue
+		}
+		var req wire.BatchRequest
+		for _, sess := range rng.Perm(sessions)[:2] {
+			g := wire.BatchGroup{Session: sess}
+			for k := 0; k < 3; k++ {
+				g.Ops = append(g.Ops, op(sess))
+			}
+			req.Groups = append(req.Groups, g)
+		}
+		resp, err := tr.Batch(ctx, &req)
+		if err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		for _, g := range resp.Groups {
+			for _, r := range g.Results {
+				if r.Err != nil {
+					got = append(got, render(nil, r.Err))
+				} else {
+					got = append(got, render(r.Output, nil))
+				}
+			}
+		}
+	}
+	return got
+}
+
+// TestStreamMatchesPost sends one seeded op stream through POST
+// /v1/invoke and /v1/batch and through the op stream: the outputs and
+// the monitor's verdicts must be identical.
+func TestStreamMatchesPost(t *testing.T) {
+	run := func(viaPost bool) ([]string, []verdictKey) {
+		c := newMonitoredCluster(t)
+		s := newStreamServer(t, c)
+		var tr client.Transport = s.transport(t)
+		if viaPost {
+			tr = postTransport{HTTPTransport: s.transport(t), base: s.srv.URL}
+		}
+		got := driveSeeded(t, tr, 7, 300)
+		c.Close()
+		if viaPost != (s.upgrades.Load() == 0) {
+			t.Fatalf("post=%v run opened %d streams", viaPost, s.upgrades.Load())
+		}
+		return got, verdictKeys(t, c.Monitor().Verdicts())
+	}
+	posted, postVerdicts := run(true)
+	streamed, streamVerdicts := run(false)
+	if len(posted) != len(streamed) {
+		t.Fatalf("%d outcomes via POST, %d via the stream", len(posted), len(streamed))
+	}
+	for i := range posted {
+		if posted[i] != streamed[i] {
+			t.Fatalf("outcome %d: POST %q, stream %q", i, posted[i], streamed[i])
+		}
+	}
+	if len(postVerdicts) == 0 || fmt.Sprint(postVerdicts) != fmt.Sprint(streamVerdicts) {
+		t.Fatalf("verdicts differ:\nPOST   %+v\nstream %+v", postVerdicts, streamVerdicts)
 	}
 }

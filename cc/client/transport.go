@@ -1,15 +1,21 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
+	"syscall"
+	"time"
 
 	"github.com/paper-repro/ccbm/cc/cluster"
 	"github.com/paper-repro/ccbm/cc/cluster/wire"
+	"github.com/paper-repro/ccbm/internal/frame"
 )
 
 // Transport carries wire requests to a cluster. Two implementations
@@ -49,18 +55,36 @@ type Transport interface {
 	Close() error
 }
 
-// HTTPTransport speaks the wire protocol over HTTP against a ccserved
-// base URL.
+// HTTPTransport speaks the wire protocol against a ccserved base URL.
+// Invoke and Batch send frames on op streams (GET /v1/stream, wire
+// protocol v2), one op at a time per stream, on the caller's
+// goroutine; every other call is one HTTP request.
 type HTTPTransport struct {
 	base string
 	hc   *http.Client
+
+	mu     sync.Mutex
+	idle   []*stream // streams no op is using, most recently used last
+	closed bool      // Close ran: streams are no longer pooled
+}
+
+// maxIdleStreams bounds the idle stream pool.
+const maxIdleStreams = 64
+
+// stream is one upgraded connection, used by one op at a time.
+type stream struct {
+	rwc io.ReadWriteCloser
+	br  *bufio.Reader
+	bw  *bufio.Writer
+	buf bytes.Buffer // the last response payload
 }
 
 // HTTPOption configures an HTTPTransport.
 type HTTPOption func(*HTTPTransport)
 
 // WithHTTPClient substitutes the underlying *http.Client (timeouts,
-// proxies, connection limits).
+// proxies, connection limits). It dials the op streams too; its Timeout
+// bounds a dial, and an op on a stream is bounded by its context.
 func WithHTTPClient(hc *http.Client) HTTPOption {
 	return func(t *HTTPTransport) { t.hc = hc }
 }
@@ -129,13 +153,22 @@ func (t *HTTPTransport) roundTrip(ctx context.Context, method, path string, body
 	return nil
 }
 
+// get fetches one wire value with GET.
+func get[T any](ctx context.Context, t *HTTPTransport, path string) (*T, error) {
+	var resp T
+	if err := t.roundTrip(ctx, http.MethodGet, path, nil, &resp); err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
+
 func (t *HTTPTransport) CreateObject(ctx context.Context, req *wire.CreateObjectRequest) error {
 	return t.roundTrip(ctx, http.MethodPost, "/objects", req, nil)
 }
 
 func (t *HTTPTransport) Invoke(ctx context.Context, req *wire.InvokeRequest) (*wire.InvokeResponse, error) {
 	var resp wire.InvokeResponse
-	if err := t.roundTrip(ctx, http.MethodPost, "/invoke", req, &resp); err != nil {
+	if err := t.call(ctx, frame.Invoke, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -143,10 +176,132 @@ func (t *HTTPTransport) Invoke(ctx context.Context, req *wire.InvokeRequest) (*w
 
 func (t *HTTPTransport) Batch(ctx context.Context, req *wire.BatchRequest) (*wire.BatchResponse, error) {
 	var resp wire.BatchResponse
-	if err := t.roundTrip(ctx, http.MethodPost, "/batch", req, &resp); err != nil {
+	if err := t.call(ctx, frame.Batch, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
+}
+
+// call sends one request frame on an idle stream, or a newly dialled
+// one, and decodes the answer into out. A cancelled ctx closes the
+// stream, which ends the wait at once. The stream is pooled again only
+// after a result or a typed error that does not end it.
+func (t *HTTPTransport) call(ctx context.Context, kind byte, req, out any) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s, pooled, err := t.take(ctx)
+	if err != nil {
+		return err
+	}
+	stop := context.AfterFunc(ctx, func() { s.rwc.Close() })
+	err = s.roundTrip(kind, req, out)
+	if !stop() {
+		return ctx.Err()
+	}
+	if e, ok := err.(*wire.Error); err == nil || ok && e.Code != wire.CodeTooLarge {
+		t.free(s)
+		return err
+	}
+	s.rwc.Close()
+	if pooled && s.br.Buffered() == 0 && (errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET)) {
+		// The server ended the idle stream (its cluster closed, or it
+		// restarted) before answering: send the op on another stream,
+		// which a closed cluster refuses with CodeUnavailable.
+		return t.call(ctx, kind, req, out)
+	}
+	return err
+}
+
+// take pops the most recently used idle stream, or dials one.
+func (t *HTTPTransport) take(ctx context.Context) (s *stream, pooled bool, err error) {
+	t.mu.Lock()
+	if n := len(t.idle); n > 0 {
+		s = t.idle[n-1]
+		t.idle = t.idle[:n-1]
+		t.mu.Unlock()
+		return s, true, nil
+	}
+	t.mu.Unlock()
+	s, err = t.dial(ctx)
+	return s, false, err
+}
+
+// free pools s, or closes it if the pool is full or Close has run.
+func (t *HTTPTransport) free(s *stream) {
+	t.mu.Lock()
+	pooled := !t.closed && len(t.idle) < maxIdleStreams
+	if pooled {
+		t.idle = append(t.idle, s)
+	}
+	t.mu.Unlock()
+	if !pooled {
+		s.rwc.Close()
+	}
+}
+
+// dial opens a stream with GET /v1/stream. The stream outlives the op
+// that dials it, so the request carries none of ctx's values, and ctx
+// and t.hc's Timeout cancel only the dial (a client with a Timeout
+// would hand back an upgraded connection that cannot be written).
+func (t *HTTPTransport) dial(ctx context.Context) (*stream, error) {
+	hc := *t.hc
+	dctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	defer context.AfterFunc(ctx, cancel)()
+	if hc.Timeout > 0 {
+		defer time.AfterFunc(hc.Timeout, cancel).Stop()
+		hc.Timeout = 0
+	}
+	req, err := http.NewRequestWithContext(dctx, http.MethodGet, t.base+wire.PathPrefix+"/stream", nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", frame.Upgrade)
+	resp, err := hc.Do(req)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, err
+	}
+	rwc, ok := resp.Body.(io.ReadWriteCloser)
+	if resp.StatusCode == http.StatusSwitchingProtocols && ok {
+		return &stream{rwc: rwc, br: bufio.NewReader(rwc), bw: bufio.NewWriter(rwc)}, nil
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusSwitchingProtocols {
+		// Reading this body would wait on the server for good.
+		return nil, fmt.Errorf("client: the HTTP client's RoundTripper wrapped the op stream in a %T, which cannot be written", resp.Body)
+	}
+	return nil, decodeError(resp)
+}
+
+// roundTrip writes one request frame and decodes its answer into out;
+// an error frame comes back as its *wire.Error.
+func (s *stream) roundTrip(kind byte, req, out any) error {
+	if err := frame.Write(s.bw, kind, req); err != nil {
+		return err
+	}
+	kind, body, err := frame.Read(s.br)
+	if err != nil {
+		return err
+	}
+	s.buf.Reset()
+	if _, err := io.CopyN(&s.buf, body, body.N); err != nil {
+		return err
+	}
+	switch kind {
+	case frame.Result:
+		return json.Unmarshal(s.buf.Bytes(), out)
+	case frame.Error:
+		var er wire.ErrorResponse
+		if json.Unmarshal(s.buf.Bytes(), &er) == nil && er.Err != nil {
+			return er.Err
+		}
+	}
+	return fmt.Errorf("client: malformed %q frame %q", kind, s.buf.Bytes())
 }
 
 func (t *HTTPTransport) Crash(ctx context.Context, req *wire.CrashRequest) error {
@@ -182,27 +337,15 @@ func (t *HTTPTransport) Readyz(ctx context.Context) (*wire.ReadyzResponse, error
 }
 
 func (t *HTTPTransport) Ring(ctx context.Context) (*wire.RingResponse, error) {
-	var resp wire.RingResponse
-	if err := t.roundTrip(ctx, http.MethodGet, "/ring", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return get[wire.RingResponse](ctx, t, "/ring")
 }
 
 func (t *HTTPTransport) Stats(ctx context.Context) (*wire.StatsResponse, error) {
-	var resp wire.StatsResponse
-	if err := t.roundTrip(ctx, http.MethodGet, "/stats", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return get[wire.StatsResponse](ctx, t, "/stats")
 }
 
 func (t *HTTPTransport) Staleness(ctx context.Context) (*wire.StalenessResponse, error) {
-	var resp wire.StalenessResponse
-	if err := t.roundTrip(ctx, http.MethodGet, "/staleness", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return get[wire.StalenessResponse](ctx, t, "/staleness")
 }
 
 func (t *HTTPTransport) Monitor(ctx context.Context, verdicts bool) (*wire.MonitorResponse, error) {
@@ -210,11 +353,7 @@ func (t *HTTPTransport) Monitor(ctx context.Context, verdicts bool) (*wire.Monit
 	if verdicts {
 		path += "?verdicts=1"
 	}
-	var resp wire.MonitorResponse
-	if err := t.roundTrip(ctx, http.MethodGet, path, nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return get[wire.MonitorResponse](ctx, t, path)
 }
 
 func (t *HTTPTransport) MonitorStream(ctx context.Context) (<-chan wire.Verdict, error) {
@@ -251,15 +390,19 @@ func (t *HTTPTransport) MonitorStream(ctx context.Context) (<-chan wire.Verdict,
 }
 
 func (t *HTTPTransport) Healthz(ctx context.Context) (*wire.HealthzResponse, error) {
-	var resp wire.HealthzResponse
-	if err := t.roundTrip(ctx, http.MethodGet, "/healthz", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return get[wire.HealthzResponse](ctx, t, "/healthz")
 }
 
-// Close releases the transport's idle connections.
+// Close closes the idle op streams and idle HTTP connections. A stream
+// in use is closed when its op finishes.
 func (t *HTTPTransport) Close() error {
+	t.mu.Lock()
+	idle := t.idle
+	t.idle, t.closed = nil, true
+	t.mu.Unlock()
+	for _, s := range idle {
+		s.rwc.Close()
+	}
 	t.hc.CloseIdleConnections()
 	return nil
 }

@@ -24,6 +24,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -227,6 +228,9 @@ type Cluster struct {
 	// into the migrated snapshots), and unservable otherwise.
 	drainFinal map[int]vclock.VC
 	closed     bool
+	// closing is cancelled by Close, which ends every op stream.
+	closing    context.Context
+	endStreams context.CancelFunc
 }
 
 // New builds and starts a cluster.
@@ -247,6 +251,7 @@ func New(cfg Config) (*Cluster, error) {
 		delays:     make([]atomic.Int64, cfg.Replicas),
 	}
 	c.epoch.Store(1)
+	c.closing, c.endStreams = context.WithCancel(context.Background())
 	for i := 0; i < cfg.Shards; i++ {
 		c.shards = append(c.shards, c.newShard(i))
 		c.ring.addShard(i)
@@ -501,5 +506,6 @@ func (c *Cluster) Close() error {
 		sh.close()
 	}
 	c.mon.Close()
+	c.endStreams()
 	return nil
 }

@@ -1,11 +1,16 @@
 package cluster
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"github.com/paper-repro/ccbm/cc/cluster/wire"
+	"github.com/paper-repro/ccbm/internal/frame"
 )
 
 // httpServer is the server side of the cc/cluster/wire protocol — the
@@ -21,6 +26,7 @@ type httpServer struct {
 //	POST /v1/objects         create an object             (wire.CreateObjectRequest → wire.OKResponse)
 //	POST /v1/invoke          one operation                (wire.InvokeRequest → wire.InvokeResponse)
 //	POST /v1/batch           per-session op groups        (wire.BatchRequest → wire.BatchResponse)
+//	GET  /v1/stream          op stream (101 upgrade)      (invoke and batch frames, see wire's v2)
 //	POST /v1/crash           crash-stop a replica         (wire.CrashRequest → wire.OKResponse)
 //	POST /v1/fault           scripted fault injection     (wire.FaultRequest → wire.OKResponse)
 //	GET  /v1/ring            consistent-hash ring + epoch (wire.RingResponse)
@@ -31,10 +37,10 @@ type httpServer struct {
 //	GET  /v1/healthz         liveness + protocol version  (wire.HealthzResponse)
 //	GET  /v1/readyz          readiness: 503 while draining (wire.ReadyzResponse)
 //
-// Request bodies are capped (wire.MaxRequestBytes, wire.MaxBatchBytes
-// for the batch endpoint), unknown JSON fields are rejected, and all
-// requests carrying the same session id must come from one sequential
-// client (see Session).
+// Request bodies and stream frames are capped (wire.MaxRequestBytes,
+// wire.MaxBatchBytes for batches), unknown JSON fields are rejected,
+// and all requests carrying the same session id must come from one
+// sequential client (see Session).
 //
 // Every response additionally carries the current ring epoch in the
 // wire.RingEpochHeader header, so a client notices topology changes
@@ -42,11 +48,16 @@ type httpServer struct {
 func NewHTTPHandler(c *Cluster) http.Handler {
 	s := &httpServer{c: c}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+wire.PathPrefix+"/objects", s.createObject)
-	mux.HandleFunc("POST "+wire.PathPrefix+"/invoke", s.invoke)
-	mux.HandleFunc("POST "+wire.PathPrefix+"/batch", s.batch)
-	mux.HandleFunc("POST "+wire.PathPrefix+"/crash", s.crash)
-	mux.HandleFunc("POST "+wire.PathPrefix+"/fault", s.fault)
+	mux.HandleFunc("POST "+wire.PathPrefix+"/objects", control(s.createObject))
+	mux.HandleFunc("POST "+wire.PathPrefix+"/invoke", s.post(frame.Invoke))
+	mux.HandleFunc("POST "+wire.PathPrefix+"/batch", s.post(frame.Batch))
+	mux.HandleFunc("GET "+wire.PathPrefix+"/stream", s.stream)
+	mux.HandleFunc("POST "+wire.PathPrefix+"/crash", control(func(req *wire.CrashRequest) *wire.Error {
+		return WireError(c.CrashReplica(req.Shard, req.Replica))
+	}))
+	// One scripted fault (see fault.go and wire.FaultAction);
+	// FaultRequest.Shard nil targets every shard.
+	mux.HandleFunc("POST "+wire.PathPrefix+"/fault", control(c.ApplyFault))
 	mux.HandleFunc("GET "+wire.PathPrefix+"/ring", s.ring)
 	mux.HandleFunc("GET "+wire.PathPrefix+"/staleness", s.staleness)
 	mux.HandleFunc("GET "+wire.PathPrefix+"/stats", s.stats)
@@ -101,77 +112,116 @@ func writeErr(w http.ResponseWriter, e *wire.Error) {
 	writeJSON(w, e.Code.HTTPStatus(), wire.ErrorResponse{Err: e})
 }
 
-func (s *httpServer) createObject(w http.ResponseWriter, r *http.Request) {
-	var req wire.CreateObjectRequest
-	if e := wire.DecodeJSON(w, r, &req, wire.MaxRequestBytes); e != nil {
-		writeErr(w, e)
-		return
+// control serves a control request: a T body, answered with
+// wire.OKResponse once do accepts it.
+func control[T any](do func(*T) *wire.Error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req T
+		e := wire.DecodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxRequestBytes), &req)
+		if e == nil {
+			e = do(&req)
+		}
+		if e != nil {
+			writeErr(w, e)
+			return
+		}
+		writeJSON(w, http.StatusOK, wire.OKResponse{OK: true})
 	}
+}
+
+func (s *httpServer) createObject(req *wire.CreateObjectRequest) *wire.Error {
 	if req.Name == "" || req.ADT == "" {
-		writeErr(w, wire.Errf(wire.CodeBadRequest, "need name and adt"))
-		return
+		return wire.Errf(wire.CodeBadRequest, "need name and adt")
 	}
-	if err := s.c.CreateObject(req.Name, req.ADT); err != nil {
-		writeErr(w, WireError(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.OKResponse{OK: true})
+	return WireError(s.c.CreateObject(req.Name, req.ADT))
 }
 
-func (s *httpServer) invoke(w http.ResponseWriter, r *http.Request) {
+// post serves POST /v1/invoke or /v1/batch: one request body of the
+// given frame kind.
+func (s *httpServer) post(kind byte) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		resp, e := s.dispatch(kind, http.MaxBytesReader(w, r.Body, frame.Max(kind)))
+		if e != nil {
+			writeErr(w, e)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// dispatch decodes one invoke or batch request from body and executes
+// it: the one entry point of POST /v1/invoke, POST /v1/batch and the
+// op stream.
+func (s *httpServer) dispatch(kind byte, body io.Reader) (any, *wire.Error) {
+	if kind == frame.Batch {
+		var req wire.BatchRequest
+		if e := wire.DecodeJSON(body, &req); e != nil {
+			return nil, e
+		}
+		return s.c.ExecuteBatch(&req)
+	}
 	var req wire.InvokeRequest
-	if e := wire.DecodeJSON(w, r, &req, wire.MaxRequestBytes); e != nil {
-		writeErr(w, e)
-		return
+	if e := wire.DecodeJSON(body, &req); e != nil {
+		return nil, e
 	}
-	resp, e := s.c.InvokeWire(&req)
-	if e != nil {
-		writeErr(w, e)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return s.c.InvokeWire(&req)
 }
 
-func (s *httpServer) batch(w http.ResponseWriter, r *http.Request) {
-	var req wire.BatchRequest
-	if e := wire.DecodeJSON(w, r, &req, wire.MaxBatchBytes); e != nil {
-		writeErr(w, e)
+// stream upgrades the connection to the op stream (wire protocol v2)
+// and answers its frames until the client closes it or the cluster
+// closes. The connection is hijacked, so http.Server.Shutdown does not
+// wait for it, and Cluster.Close ends it instead.
+func (s *httpServer) stream(w http.ResponseWriter, r *http.Request) {
+	if !strings.EqualFold(r.Header.Get("Upgrade"), frame.Upgrade) {
+		writeErr(w, wire.Errf(wire.CodeBadRequest, "need Upgrade: %s", frame.Upgrade))
 		return
 	}
-	resp, e := s.c.ExecuteBatch(&req)
-	if e != nil {
-		writeErr(w, e)
+	if s.c.closing.Err() != nil {
+		writeErr(w, WireError(ErrClosed))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	conn, rw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		writeErr(w, wire.Errf(wire.CodeInternal, "hijack: %v", err))
+		return
+	}
+	defer conn.Close()
+	defer context.AfterFunc(s.c.closing, func() { conn.Close() })()
+	rw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + frame.Upgrade + "\r\n\r\n")
+	if rw.Flush() == nil {
+		serveFrames(rw, s.dispatch)
+	}
 }
 
-func (s *httpServer) crash(w http.ResponseWriter, r *http.Request) {
-	var req wire.CrashRequest
-	if e := wire.DecodeJSON(w, r, &req, wire.MaxRequestBytes); e != nil {
-		writeErr(w, e)
-		return
+// serveFrames answers the request frames read from rw, in order, with
+// what dispatch returns, until the peer goes away. A frame of unknown
+// kind or over its cap is answered with an error frame that ends the
+// stream, as its payload is left unread.
+func serveFrames(rw *bufio.ReadWriter, dispatch func(kind byte, body io.Reader) (any, *wire.Error)) {
+	for {
+		kind, body, err := frame.Read(rw.Reader)
+		if err == nil && kind != frame.Invoke && kind != frame.Batch {
+			err = wire.Errf(wire.CodeBadRequest, "unknown frame kind %q", kind)
+		}
+		if e, ok := err.(*wire.Error); ok {
+			frame.Write(rw.Writer, frame.Error, wire.ErrorResponse{Err: e})
+			return
+		} else if err != nil {
+			return
+		}
+		resp, e := dispatch(kind, body)
+		if _, err := io.Copy(io.Discard, body); err != nil {
+			return
+		}
+		if e != nil {
+			err = frame.Write(rw.Writer, frame.Error, wire.ErrorResponse{Err: e})
+		} else {
+			err = frame.Write(rw.Writer, frame.Result, resp)
+		}
+		if err != nil {
+			return
+		}
 	}
-	if err := s.c.CrashReplica(req.Shard, req.Replica); err != nil {
-		writeErr(w, WireError(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.OKResponse{OK: true})
-}
-
-// fault dispatches one scripted fault (see the fault API in fault.go
-// and wire.FaultAction). FaultRequest.Shard nil targets every shard.
-func (s *httpServer) fault(w http.ResponseWriter, r *http.Request) {
-	var req wire.FaultRequest
-	if e := wire.DecodeJSON(w, r, &req, wire.MaxRequestBytes); e != nil {
-		writeErr(w, e)
-		return
-	}
-	if e := s.c.ApplyFault(&req); e != nil {
-		writeErr(w, e)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.OKResponse{OK: true})
 }
 
 func (s *httpServer) ring(w http.ResponseWriter, _ *http.Request) {

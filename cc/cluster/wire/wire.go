@@ -14,7 +14,7 @@
 //	v0  (PR 4)   ad-hoc JSON inline in cc/cluster: one round-trip per
 //	             operation, errors as {"error":"message"} strings.
 //	             Superseded; no longer served.
-//	v1  (this)   this package: typed {"error":{"code","message"}}
+//	v1           this package: typed {"error":{"code","message"}}
 //	             errors, POST /v1/batch with ordered per-session
 //	             invocation groups, per-request read targets, and
 //	             NDJSON verdict streaming on GET /v1/monitor/stream.
@@ -57,6 +57,17 @@
 //	             ReadyzResponse.MaxLagUS and RingShard.ReplicaLagUS
 //	             expose replication lag; StatsResponse.WeakReads
 //	             counts session-unordered reads distinctly.
+//	v2  (this)   the op stream: GET /v1/stream with "Connection:
+//	             Upgrade" and "Upgrade: ccbm-frames" answers 101, and the
+//	             connection then carries frames (a 4-byte big-endian
+//	             payload length, a kind byte, a JSON payload): 'I'
+//	             InvokeRequest or 'B' BatchRequest, each answered in
+//	             order by 'R' (its response) or 'E' (ErrorResponse). The
+//	             rules and caps of POST /v1/invoke and /v1/batch hold per
+//	             frame; an oversize or unknown frame gets 'E' and ends
+//	             the stream, and so does closing the cluster. Bumped:
+//	             the Go client sends every op this way, and a v1 server
+//	             has no stream.
 //
 // GET /v1/healthz reports the protocol version a server speaks, so a
 // client can refuse a mismatched server instead of misparsing it.
@@ -66,6 +77,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"github.com/paper-repro/ccbm/cc/checker"
@@ -74,18 +86,18 @@ import (
 // ProtocolVersion is the wire protocol version this package defines.
 // It is carried by HealthzResponse and bumped on any change an
 // existing client could misparse.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // PathPrefix is the URL prefix of every versioned endpoint.
 const PathPrefix = "/v1"
 
-// Body-size limits enforced by the server (http.MaxBytesReader).
-// Single-operation requests are tiny; only the batch endpoint carries
-// real payloads.
+// Body-size limits enforced by the server (http.MaxBytesReader, or
+// the frame length on the op stream). Single-operation requests are
+// tiny; only batches carry real payloads.
 const (
 	// MaxRequestBytes bounds every non-batch request body.
 	MaxRequestBytes = 1 << 20
-	// MaxBatchBytes bounds a POST /v1/batch body.
+	// MaxBatchBytes bounds a POST /v1/batch body or a batch frame.
 	MaxBatchBytes = 16 << 20
 )
 
@@ -306,8 +318,9 @@ type ShardFrontier struct {
 	VC    []int `json:"vc"`
 }
 
-// InvokeRequest executes one operation. POST /v1/invoke. All requests
-// carrying the same session id must come from one sequential client.
+// InvokeRequest executes one operation: POST /v1/invoke, or an invoke
+// frame on the op stream. All requests carrying the same session id
+// must come from one sequential client.
 type InvokeRequest struct {
 	Session int        `json:"session"`
 	Object  string     `json:"object"`
@@ -476,10 +489,11 @@ type BatchGroup struct {
 	ReadReplica *int `json:"read_replica,omitempty"`
 }
 
-// BatchRequest is an ordered set of per-session invocation groups.
-// POST /v1/batch. A session id may appear in at most one group (two
-// groups for one session would race its program order); the server
-// rejects duplicates with CodeBadRequest.
+// BatchRequest is an ordered set of per-session invocation groups:
+// POST /v1/batch, or a batch frame on the op stream. A session id may
+// appear in at most one group (two groups for one session would race
+// its program order); the server rejects duplicates with
+// CodeBadRequest.
 type BatchRequest struct {
 	Groups []BatchGroup `json:"groups"`
 	// Epoch is the ring epoch the client routed under (see
@@ -589,14 +603,14 @@ type MonitorResponse struct {
 	Verdicts []Verdict      `json:"verdicts,omitempty"`
 }
 
-// DecodeJSON reads one JSON value from an HTTP request body under the
-// protocol's hardening rules: the body is capped at maxBytes
-// (http.MaxBytesReader), unknown fields are rejected, and trailing
-// data after the value is rejected. A nil return means dst is
+// DecodeJSON reads one JSON value from r under the protocol's
+// hardening rules: unknown fields are rejected, and so is trailing
+// data after the value. The caller caps r (http.MaxBytesReader for a
+// request body, the frame length on the op stream); a read past an
+// http.MaxBytesReader cap is CodeTooLarge. A nil return means dst is
 // populated.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any, maxBytes int64) *Error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
+func DecodeJSON(r io.Reader, dst any) *Error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		var mbe *http.MaxBytesError
@@ -605,7 +619,7 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any, maxBytes int64)
 		}
 		return Errf(CodeBadRequest, "invalid JSON: %v", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return Errf(CodeBadRequest, "trailing data after JSON value")
 	}
 	return nil

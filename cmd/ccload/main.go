@@ -19,8 +19,8 @@
 //
 //   - A scenario run (scenario.go). By default it is a closed loop:
 //     -clients workers, one session each. -batch turns on client-side
-//     batching (the SDK coalesces async invocations into POST
-//     /v1/batch) and, in a closed loop, keeps 32 ops in flight per
+//     batching (the SDK coalesces async invocations into batch
+//     requests) and, in a closed loop, keeps 32 ops in flight per
 //     worker; -read-target any issues Pileus-style weak reads. With
 //     -rate R the run is OPEN loop: arrivals come from a target-rate
 //     clock (-arrival poisson|fixed) and latency is measured from each
@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&cfg.duration, "duration", 5*time.Second, "run length (per phase with -sla)")
 	fs.IntVar(&cfg.objects, "objects", 16, "base object population of the scenario")
 	fs.Int64Var(&cfg.seed, "seed", 1, "random seed")
-	fs.BoolVar(&cfg.batch, "batch", false, "client-side batching over POST /v1/batch")
+	fs.BoolVar(&cfg.batch, "batch", false, "client-side batching of async ops into batch requests")
 	fs.IntVar(&cfg.batchOps, "batch-ops", 64, "client batch flush size (with -batch)")
 	fs.DurationVar(&cfg.batchWait, "batch-wait", 500*time.Microsecond, "client batch flush delay (with -batch)")
 	readTarget := fs.String("read-target", "affinity", "per-request read target: affinity or any")

@@ -10,7 +10,8 @@
 //
 // The server speaks the versioned cc/cluster/wire protocol (see
 // cluster.NewHTTPHandler): POST /v1/objects, POST /v1/invoke, POST
-// /v1/batch (pipelined per-session invocation groups), POST
+// /v1/batch (per-session invocation groups), GET /v1/stream (the op
+// stream the Go client sends invocations and batches on), POST
 // /v1/crash, POST /v1/fault (scripted chaos: partition, heal,
 // crash/restart, link degradation, per-replica serving delay),
 // GET /v1/ring (placement ring, epoch, per-replica replication lag),

@@ -40,13 +40,14 @@
 //   - cc/cluster/wire: the versioned wire protocol of the serving
 //     layer — request/response structs, typed error codes with a
 //     pinned HTTP status table, per-request read targets, batch
-//     groups, NDJSON verdict streaming. Protocol v1; v0 (the ad-hoc
-//     PR 4 JSON surface) is no longer served. GET /v1/healthz reports
-//     the version a server speaks.
+//     groups, NDJSON verdict streaming. Protocol v2: v1's endpoints
+//     plus the framed op stream (GET /v1/stream); v0 (the ad-hoc PR 4
+//     JSON surface) is no longer served. GET /v1/healthz reports the
+//     version a server speaks.
 //   - cc/client: the serving-layer SDK — Client over a pluggable
 //     Transport (HTTP or in-process loopback), sequential Session
 //     handles with asynchronous Invoke futures, client-side batching
-//     that pipelines independent sessions into POST /v1/batch while
+//     that pipelines independent sessions into batch requests while
 //     preserving each session's program order, per-request read
 //     targets (ReadAffinity vs ReadAny, Pileus-style), and typed
 //     object handles over the ADT registry (Counter, Register, Queue,

@@ -33,7 +33,7 @@ func main() {
 	defer srv.Close()
 
 	// The SDK: batching coalesces async invocations from all sessions
-	// into pipelined POST /v1/batch round trips.
+	// into pipelined batch requests on the op stream.
 	cli, err := client.New(client.NewHTTPTransport(srv.URL),
 		client.WithBatching(32, 500*time.Microsecond))
 	if err != nil {
